@@ -1,5 +1,5 @@
 """
-Recursive enumeration of candidate dimension arrays.
+Enumeration of candidate dimension arrays.
 
 Two modes:
 
@@ -10,11 +10,17 @@ Two modes:
   so fpdim = g * (s_ad + 2*sum d_i^2) where g is the global invertible
   count and (adjoint_rank, adjoint_invertibles) describe the component.
 
-The recursion works on the quotients m_i = fpdim / d_i^2, which must be
+The search works on the quotients m_i = fpdim / d_i^2, which must be
 odd positive integers with m_1 <= ... <= m_k.  Writing m_i = u_i^2 * w
 (w squarefree, shared by all i), the state is the pair (u_i, c_i) where
 c_i relates the remaining dimension budget to u_i^2; all bounds are
 evaluated with exact rational arithmetic.
+
+Each m1 branch is one depth-first search over u-chains (`_Engine`) with a
+single child generator.  The min_run predicate rides along as a counter of
+the trailing run of equal u_i, which cuts and extends states structurally.
+A search with fpdim_bound instead runs `_bounded_branch`, an exact
+subset-sum over the divisors the bound allows.
 """
 
 from __future__ import annotations
@@ -22,11 +28,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from multiprocessing import Pool
 
 from .exactmath import factorize, is_prime_power, isqrt_exact, squarefree_split
+
+
+class InvariantError(AssertionError):
+    """An invariant of the search or of a produced solution failed.
+
+    Raised explicitly, so the checks also run under `python -O`.
+    """
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
 
 
 class Mode(enum.Enum):
@@ -65,6 +82,12 @@ class SearchParams:
                 raise ValueError("adjoint_rank must exceed adjoint_invertibles")
         if self.min_m1 < 1:
             raise ValueError("min_m1 must be positive")
+        if self.mi_coprime is not None and self.mi_coprime < 2:
+            raise ValueError("mi_coprime must be at least 2")
+        if self.min_run is not None and self.min_run < 2:
+            raise ValueError("min_run must be at least 2")
+        if self.fpdim_bound is not None and self.fpdim_bound < 1:
+            raise ValueError("fpdim_bound must be positive")
 
     # --- derived quantities -------------------------------------------------
 
@@ -89,10 +112,8 @@ class SearchParams:
 
     @property
     def perfect(self) -> bool:
-        """Whether the searched layer has only the trivial invertible."""
-        if self.mode is Mode.BASIC:
-            return self.invertibles == 1
-        return self.invertibles == 1  # |G(C)| = 1
+        """Whether the category has only the trivial invertible (|G(C)| = 1)."""
+        return self.invertibles == 1
 
     @property
     def t(self) -> int:
@@ -109,37 +130,31 @@ class DimSolution:
     def sort_key(self):
         return (-self.fpdim, tuple(-d for d in self.dims))
 
-    def full_multiset(self) -> list[int]:
-        """All simple-object dims of the layer: invertibles plus both duals."""
-        out = [1] * self.invertibles
-        for d in self.dims:
-            out.extend((d, d))
-        return sorted(out, reverse=True)
-
 
 def validate_solution(sol: DimSolution, params: SearchParams) -> None:
-    """Independent re-check of every DimSolution invariant; raises on failure.
+    """Independent re-check of every DimSolution invariant; raises
+    InvariantError on failure.
 
     Deliberately computed from the defining equations, sharing nothing with
     the recursion that produced the solution.
     """
     s = params.layer_invertibles
     g = params.group_order
-    assert sol.invertibles == s
-    assert len(sol.dims) == params.k
-    assert sol.fpdim == g * (s + 2 * sum(d * d for d in sol.dims))
-    assert sol.fpdim % 2 == 1
-    assert sol.fpdim % 8 == params.rank % 8
-    assert list(sol.dims) == sorted(sol.dims, reverse=True)
+    _check(sol.invertibles == s, "invertible count")
+    _check(len(sol.dims) == params.k, "number of dual pairs")
+    _check(sol.fpdim == g * (s + 2 * sum(d * d for d in sol.dims)), "fpdim equation")
+    _check(sol.fpdim % 2 == 1, "fpdim odd")
+    _check(sol.fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
+    _check(list(sol.dims) == sorted(sol.dims, reverse=True), "dims nonincreasing")
     prev = 0
     for d, m in zip(sol.dims, sol.quotients):
-        assert d % 2 == 1 and d >= 3
-        assert m * d * d == sol.fpdim
-        assert m % 2 == 1
-        assert m >= prev
+        _check(d % 2 == 1 and d >= 3, "dim odd and at least 3")
+        _check(m * d * d == sol.fpdim, "quotient times dim squared is fpdim")
+        _check(m % 2 == 1, "quotient odd")
+        _check(m >= prev, "quotients nondecreasing")
         prev = m
         if params.perfect:
-            assert d >= 15 and not is_prime_power(d)
+            _check(d >= 15 and not is_prime_power(d), "perfect-layer dim")
 
 
 def _m1_upper_bound_holds(m1: int, params: SearchParams) -> bool:
@@ -163,23 +178,6 @@ def m1_candidates(params: SearchParams) -> list[int]:
         out = [m for m in out if m not in params.m1_exclude]
     if params.mi_coprime:
         out = [m for m in out if m % params.mi_coprime != 0]
-    return out
-
-
-def next_level(
-    c_prev: Fraction, u_prev: int, remaining: int, params: SearchParams
-) -> list[tuple[int, Fraction]]:
-    """Admissible (u_next, c_next) continuations from state (c_prev, u_prev)."""
-    s = params.layer_invertibles
-    # u^2 <= s*u_prev^2/(t*c_prev) + 2*remaining*u_prev^2/c_prev
-    upper = (Fraction(s, params.t) + 2 * remaining) * u_prev * u_prev / c_prev
-    out = []
-    u = u_prev
-    while u * u <= upper:
-        c_next = c_prev * u * u / (u_prev * u_prev) - 2
-        if c_next > 0 and (not params.mi_coprime or u % params.mi_coprime != 0):
-            out.append((u, c_next))
-        u += 2
     return out
 
 
@@ -215,16 +213,10 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
         return None
     fpdim = w * uk * uk * dk * dk
     dims = tuple(dims)
-    if params.fpdim_bound is not None and fpdim > params.fpdim_bound:
-        return None
     if params.min_run is not None and not _min_run_ok(dims, params.min_run):
         return None
     quotients = tuple(w * u * u for u in us)
     return DimSolution(fpdim, params.layer_invertibles, dims, quotients)
-
-
-def _dims_floor_sq(params: SearchParams) -> int:
-    return 225 if params.perfect else 9
 
 
 _PF_CACHE: dict[int, tuple[int, ...]] = {}
@@ -249,7 +241,8 @@ def _factor_with_hint(n: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
                 m //= p
                 e += 1
             fac.append((p, e))
-    assert m == 1, "prime hint set incomplete"
+    if m != 1:
+        raise InvariantError("prime hint set incomplete")
     return fac
 
 
@@ -272,7 +265,7 @@ def _extend_hint(hint: tuple[int, ...], u: int) -> tuple[int, ...]:
 
 
 class _Engine:
-    """Shared branch-search machinery for one m1 value.
+    """Depth-first search over the u-chains of one m1 branch.
 
     The state of level i is the exact rational c_i held as a reduced
     integer pair (A, B) with c_i = A/B, together with the u-chain so far.
@@ -280,6 +273,14 @@ class _Engine:
     scanning: every valid d_k satisfies d_k^2 | s*B*u^2, so candidates are
     read off the square divisors of that number, whose prime factors are
     known because B divides g times the product of the u_i^2.
+
+    With min_run = L, a chain must hold L consecutive equal u_i (equal u
+    gives equal dims).  Each state carries `run`, the length of its trailing
+    run of equal u, which stays at L once reached; L = 1 when min_run is
+    unset, so every state is already free.  A state with run < L is cut
+    when the run can no longer reach L, and has its run extended to L in
+    one step (each level is c -> c - 2) once no fresh run fits in the
+    levels left.
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -288,20 +289,10 @@ class _Engine:
         self.s = params.layer_invertibles
         self.t = params.t
         self.k = params.k
+        self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0
-        self.bound = params.fpdim_bound
-        self.floor_sq = _dims_floor_sq(params)
         self.dmin = 15 if params.perfect else 3
         self.out: list[DimSolution] = []
-
-    def u_pruned(self, u: int) -> bool:
-        if self.cop and u % self.cop == 0:
-            return True
-        return self.bound is not None and self.w * u * u * self.floor_sq > self.bound
-
-    def over_bound(self, u: int) -> bool:
-        # ascending scans can stop outright once the bound prunes
-        return self.bound is not None and self.w * u * u * self.floor_sq > self.bound
 
     def final_node(self, A: int, B: int, u: int, path, hint) -> None:
         """rem = 1: emit every (u_k, d_k) completion of this state."""
@@ -317,7 +308,7 @@ class _Engine:
             if r:
                 continue
             up, square = isqrt_exact(q)
-            if not square or up < u or up % 2 == 0 or self.u_pruned(up):
+            if not square or up < u or up % 2 == 0 or (self.cop and up % self.cop == 0):
                 continue
             sol = _finish(path + (up,), d, self.w, self.params)
             if sol is not None:
@@ -334,149 +325,64 @@ class _Engine:
             if sol is not None:
                 self.out.append(sol)
 
-    def free_dfs(self, i: int, A: int, B: int, u: int, path, hint) -> None:
-        """Unconstrained search from depth i down to k."""
-        k = self.k
-        s = self.s
-        t = self.t
-        stack = [(i, A, B, u, path, hint)]
-        while stack:
-            i, A, B, u, path, hint = stack.pop()
-            rem = k - i
-            if rem == 1:
-                self.final_node(A, B, u, path, hint)
-                continue
-            u2 = u * u
-            hi_num = (s + 2 * rem * t) * u2 * B
-            hi_den = t * A
-            up = max(u, math.isqrt(2 * B * u2 // A) - 2)
-            if up % 2 == 0:
-                up += 1
-            while up * up * hi_den <= hi_num:
-                if self.over_bound(up):
-                    break
-                if not self.cop or up % self.cop:
-                    An = A * up * up - 2 * B * u2
-                    if An > 0:
-                        Bn = B * u2
-                        g2 = gcd(An, Bn)
-                        stack.append((i + 1, An // g2, Bn // g2, up,
-                                      path + (up,), _extend_hint(hint, up)))
-                up += 2
-
-
-def _regular_branch(params: SearchParams, A0: int, B0: int, u1: int, w: int) -> list[DimSolution]:
-    eng = _Engine(params, w)
-    if eng.u_pruned(u1):
-        return []
-    hint = _extend_hint(_extend_hint(_extend_hint((), eng.s), params.group_order), u1)
-    hint = _extend_hint(hint, w)
-    if params.k == 1:
-        eng.final_chain(A0, B0, (u1,))
-    else:
-        eng.free_dfs(1, A0, B0, u1, (u1,), hint)
-    return eng.out
-
-
-class _MinRunEngine(_Engine):
-    """Search restricted to chains containing >= L consecutive equal u_i.
-
-    Equal u-values give equal dims, so this realizes the "at least L equal
-    consecutive dims" predicate structurally: enumerate the start j of the
-    first length-L equal run (the prefix holds no such run and ends with a
-    different value), force the L equal levels (each forced step is
-    c -> c - 2), then search the suffix freely.  Each chain is produced
-    exactly once, at its first run.
-    """
-
-    def __init__(self, params: SearchParams, w: int):
-        super().__init__(params, w)
-        self.L = params.min_run
-
-    def start_run(self, i: int, A: int, B: int, u: int, path, hint, strict: bool) -> None:
-        k = self.k
-        s = self.s
-        t = self.t
-        L = self.L
-        rem = k - i
-        if rem < L:
-            return
+    def children(self, A: int, B: int, u: int, rem: int, lo: int):
+        """Continuations (u', A', B') of state c = A/B at u with rem levels
+        left: u itself first (c' = c - 2 > 0), then each u' > u with
+        c' = A'/B' > lo - 2."""
         u2 = u * u
-        # forced steps need c' > 2*(L-1): A*v^2 > 2*L*B*u^2
-        hi_num = (s + 2 * rem * t) * u2 * B
-        hi_den = t * A
-        up = max(u, math.isqrt(2 * L * B * u2 // A) - 2)
+        # every level still to come needs c' <= s/t + 2*(rem - 1)
+        hi_num = (self.s + 2 * rem * self.t) * u2 * B
+        hi_den = self.t * A
+        if A > 2 * B and u2 * hi_den <= hi_num:
+            An = A - 2 * B
+            g2 = gcd(An, B)
+            yield u, An // g2, B // g2
+        up = max(u + 2, math.isqrt(lo * B * u2 // A) - 2)
         if up % 2 == 0:
             up += 1
+        floor = (lo - 2) * B * u2
         while up * up * hi_den <= hi_num:
-            if self.over_bound(up):
-                break
-            if ((up > u or not strict) and (not self.cop or up % self.cop)):
+            if not self.cop or up % self.cop:
                 An = A * up * up - 2 * B * u2
-                if An > 0:
+                if An > floor:
                     Bn = B * u2
                     g2 = gcd(An, Bn)
-                    self.forced(i + 1, An // g2, Bn // g2, up,
-                                path + (up,), _extend_hint(hint, up))
+                    yield up, An // g2, Bn // g2
             up += 2
-
-    def forced(self, j: int, A: int, B: int, v: int, path, hint) -> None:
-        """Depth j holds the run value v; force L-1 further equal levels."""
-        k = self.k
-        for _ in range(self.L - 1):
-            if len(path) == k:
-                return  # run would overflow the chain
-            An = A - 2 * B
-            if An <= 0:
-                return
-            g2 = gcd(An, B)
-            A, B = An // g2, B // g2
-            path = path + (v,)
-        depth = len(path)
-        if depth == k:
-            self.final_chain(A, B, path)
-        elif depth == k - 1:
-            self.final_node(A, B, v, path, hint)
-        else:
-            self.free_dfs(depth, A, B, v, path, hint)
 
     def search(self, A0: int, B0: int, u1: int) -> None:
         k = self.k
-        s = self.s
-        t = self.t
         L = self.L
-        hint = _extend_hint(_extend_hint(_extend_hint((), s), self.params.group_order), u1)
+        hint = _extend_hint(_extend_hint(_extend_hint((), self.s), self.params.group_order), u1)
         hint = _extend_hint(hint, self.w)
-        if self.u_pruned(u1):
-            return
-        # run starting at depth 1 uses the fixed value u1
-        self.forced(1, A0, B0, u1, (u1,), hint)
-        # prefix states (depth, A, B, u, trailing run length < L)
-        stack = [(1, A0, B0, u1, 1, (u1,), hint)]
+        stack = [(1, A0, B0, u1, (u1,), hint, 1)]
         while stack:
-            i, A, B, u, run, path, hint = stack.pop()
-            self.start_run(i, A, B, u, path, hint, strict=True)
-            if i + 1 > k - L:
-                continue  # no room left for a later run
+            i, A, B, u, path, hint, run = stack.pop()
+            if run < L:
+                need = L - run
+                if k - i < need:
+                    continue
+                if k - i < L:
+                    # no fresh run fits: the trailing run must grow to L
+                    A -= 2 * need * B
+                    if A <= 0:
+                        continue
+                    g2 = gcd(A, B)
+                    A, B = A // g2, B // g2
+                    i, path, run = i + need, path + (u,) * need, L
             rem = k - i
-            u2 = u * u
-            hi_num = (s + 2 * rem * t) * u2 * B
-            hi_den = t * A
-            up = max(u, math.isqrt(2 * B * u2 // A) - 2)
-            if up % 2 == 0:
-                up += 1
-            while up * up * hi_den <= hi_num:
-                if self.over_bound(up):
-                    break
-                nrun = run + 1 if up == u else 1
-                if nrun < L and (not self.cop or up % self.cop):
-                    An = A * up * up - 2 * B * u2
-                    if An > 0:
-                        Bn = B * u2
-                        g2 = gcd(An, Bn)
-                        stack.append((i + 1, An // g2, Bn // g2, up, nrun,
-                                      path + (up,), _extend_hint(hint, up)))
-                up += 2
+            if rem == 0:
+                self.final_chain(A, B, path)
+                continue
+            if rem == 1:
+                self.final_node(A, B, u, path, hint)
+                continue
+            # a value opened now must carry the run itself when no fresh
+            # run fits after it, which needs c' > 2*(L - 1)
+            lo = 2 * L if run < L and rem - 1 < L else 2
+            for up, An, Bn in self.children(A, B, u, rem, lo):
+                nrun = run if run == L else run + 1 if up == u else 1
+                stack.append((i + 1, An, Bn, up, path + (up,), _extend_hint(hint, up), nrun))
 
 
 def _divisors_between(n: int, lo: int, hi: int) -> list[int]:
@@ -562,18 +468,16 @@ def _search_branch(args) -> list[DimSolution]:
     if A0 <= 0:
         return []
     gg = gcd(A0, B0)
-    A0 //= gg
-    B0 //= gg
     u1, w = squarefree_split(m1)
-    if params.min_run is not None and params.min_run > 1:
-        eng = _MinRunEngine(params, w)
-        eng.search(A0, B0, u1)
-        return eng.out
-    return _regular_branch(params, A0, B0, u1, w)
+    eng = _Engine(params, w)
+    eng.search(A0 // gg, B0 // gg, u1)
+    return eng.out
 
 
 def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution]:
     """Complete, duplicate-free, canonically ordered list of solutions."""
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     m1s = m1_candidates(params)
     if jobs > 1 and len(m1s) > 1:
         with Pool(min(jobs, len(m1s))) as pool:
@@ -581,7 +485,7 @@ def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution
     else:
         chunks = [_search_branch((params, m1)) for m1 in m1s]
     out = [sol for chunk in chunks for sol in chunk]
-    assert len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions"
+    _check(len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions")
     for sol in out:
         validate_solution(sol, params)
     return sorted(out, key=DimSolution.sort_key)

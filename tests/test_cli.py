@@ -60,6 +60,20 @@ class TestDims:
     def test_invalid_rank(self, capsys):
         assert cli.main(["dims", "--rank", "26", "--invertibles", "3"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-run", "0"), ("--min-run", "-1"), ("--min-run", "1"),
+        ("--mi-coprime", "1"), ("--mi-coprime", "0"),
+        ("--fpdim-bound", "0"), ("--fpdim-bound", "-7"),
+        ("--jobs", "0"), ("--jobs", "-3"),
+    ])
+    def test_invalid_search_input(self, capsys, flag, value):
+        code = cli.main(["dims", "--rank", "27", "--invertibles", "3", "--min-m1", "5",
+                         flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestAdjointDims:
     def test_rank45(self, capsys):

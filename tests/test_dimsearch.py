@@ -1,18 +1,45 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddmtc import oracle
 from oddmtc.dimsearch import (
     DimSolution,
+    InvariantError,
     Mode,
     SearchParams,
     _min_run_ok,
     enumerate_solutions,
     m1_candidates,
-    next_level,
     validate_solution,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
+
+
+def next_level(
+    c_prev: Fraction, u_prev: int, remaining: int, params: SearchParams
+) -> list[tuple[int, Fraction]]:
+    """Admissible (u_next, c_next) continuations from state (c_prev, u_prev),
+    computed with Fractions as a reference for the engine's integer scan."""
+    s = params.layer_invertibles
+    # u^2 <= s*u_prev^2/(t*c_prev) + 2*remaining*u_prev^2/c_prev
+    upper = (Fraction(s, params.t) + 2 * remaining) * u_prev * u_prev / c_prev
+    out = []
+    u = u_prev
+    while u * u <= upper:
+        c_next = c_prev * u * u / (u_prev * u_prev) - 2
+        if c_next > 0 and (not params.mi_coprime or u % params.mi_coprime != 0):
+            out.append((u, c_next))
+        u += 2
+    return out
 
 
 class TestSearchParams:
@@ -37,6 +64,13 @@ class TestSearchParams:
         dict(rank=49, invertibles=5, mode=Mode.ADJOINT),
         dict(rank=49, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=29,
              adjoint_invertibles=29),
+        dict(rank=25, invertibles=3, min_run=1),
+        dict(rank=25, invertibles=3, min_run=0),
+        dict(rank=25, invertibles=3, min_run=-1),
+        dict(rank=25, invertibles=3, mi_coprime=1),
+        dict(rank=25, invertibles=3, mi_coprime=0),
+        dict(rank=25, invertibles=3, fpdim_bound=0),
+        dict(rank=25, invertibles=3, fpdim_bound=-5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -114,7 +148,7 @@ class TestMinRunPredicate:
 
 class TestEnumerateSolutions:
     def test_rank27_pinpoint(self):
-        sols = enumerate_solutions(SearchParams(rank=27, invertibles=3, min_m1=5))
+        sols = enumerate_solutions(RANK27)
         assert len(sols) == 1
         assert sols[0].fpdim == 2475
         assert sols[0].dims == (15, 15, 15, 15, 15, 5, 5, 5, 3, 3, 3, 3)
@@ -137,8 +171,12 @@ class TestEnumerateSolutions:
             assert list(s.quotients) == sorted(s.quotients)
 
     def test_jobs_equivalence(self):
-        p = SearchParams(rank=27, invertibles=3, min_m1=5)
-        assert enumerate_solutions(p, jobs=1) == enumerate_solutions(p, jobs=2)
+        assert enumerate_solutions(RANK27, jobs=1) == enumerate_solutions(RANK27, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            enumerate_solutions(RANK27, jobs=jobs)
 
     def test_fpdim_bound_restricts(self):
         p = SearchParams(rank=25, invertibles=3)
@@ -157,16 +195,53 @@ class TestValidateSolution:
         t1 = golden_tables["T1"]
         row = t1.rows[0]
         bad_fpdim = DimSolution(row.fpdim + 8, row.invertibles, row.dims, row.quotients)
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             validate_solution(bad_fpdim, t1.params)
         bad_dims = DimSolution(row.fpdim, row.invertibles,
                                row.dims[:-1] + (row.dims[-1] + 2,), row.quotients)
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             validate_solution(bad_dims, t1.params)
 
-    def test_full_multiset(self):
-        sol = DimSolution(441, 3, (7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3),
-                          tuple(441 // (d * d) for d in (7,) * 3 + (3,) * 8))
-        ms = sol.full_multiset()
-        assert len(ms) == 25
-        assert sum(d * d for d in ms) == 441
+    def test_tampered_row_rejected_under_optimize(self):
+        code = (
+            "from dataclasses import replace\n"
+            "from oddmtc import goldens\n"
+            "from oddmtc.dimsearch import InvariantError, validate_solution\n"
+            "assert False, 'assert statements are live'\n"
+            "t1 = next(t for t in goldens.load_goldens() if t.table_id == 'T1')\n"
+            "row = t1.rows[0]\n"
+            "try:\n"
+            "    validate_solution(replace(row, fpdim=row.fpdim + 8), t1.params)\n"
+            "except InvariantError:\n"
+            "    print('rejected')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "rejected\n"
+
+
+class TestEngineAgainstOracle:
+    def test_unbounded_search_matches_oracle(self, golden_tables):
+        bound = 10**6
+        searched = [golden_tables[t].params for t in ("T2", "T3", "T4", "T6", "T7")]
+        # T8's m1=25 branch holds no rows and dominates its search time
+        t8 = golden_tables["T8"].params
+        searched.append(replace(t8, m1_exclude=t8.m1_exclude | {25}))
+        checked = 0
+        for p in searched:
+            reference = oracle.oracle_enumerate(p, bound)
+            diff = oracle.compare(enumerate_solutions(p), reference, bound)
+            assert diff.empty, (p, diff.missing, diff.extra)
+            checked += len(reference)
+        assert checked == 39
+
+    @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7"])
+    def test_min_run_equals_filtered_search(self, table, golden_tables):
+        p = RANK27 if table == "rank27" else golden_tables[table].params
+        plain = enumerate_solutions(p)
+        for length in range(2, 6):
+            want = [s for s in plain if _min_run_ok(s.dims, length)]
+            assert enumerate_solutions(replace(p, min_run=length)) == want, length
