@@ -14,20 +14,8 @@ from io import StringIO
 
 from . import filters, gradings, goldens, oracle
 from .dimsearch import DimSolution, Mode, SearchParams, enumerate_solutions
-from .exactmath import factorize, is_prime
 
 CITE_EMPTY_SEARCH = "rule:no-candidate-dimension-arrays"
-
-#: (rank, invertibles) -> extra SearchParams predicates, used when the
-#: grading case forces m1 to be a perfect square at least invertibles^2
-#: (prime invertible count with all non-adjoint component ranks equal to it).
-PREDICATE_INJECTION = {
-    (33, 5): dict(min_m1=25, m1_square=True),
-    (41, 5): dict(min_m1=25, m1_square=True),
-}
-
-#: (rank, invertibles) pairs whose full structural filter chain is mechanized.
-PLAYBOOK = {(25, 3)}
 
 
 # --------------------------------------------------------------------------
@@ -139,24 +127,18 @@ GRADING_FILTERS = (
 )
 
 
-def _grade_cases(rank: int, invertibles: int, apply_filters: bool) -> list[dict]:
-    rows = []
-    for case in gradings.enumerate_cases(rank, invertibles):
-        record = {"case": list(case.component_ranks), "verdict": "LISTED", "citations": []}
-        if apply_filters:
-            verdicts = [f(case) for f in GRADING_FILTERS]
-            discards = [v for v in verdicts if v.discard]
-            if discards:
-                record["verdict"] = "DISCARDED"
-                record["citations"] = [v.citation for v in discards]
-            else:
-                record["verdict"] = "SURVIVING"
-        rows.append(record)
-    return rows
+def _grade_case(case: gradings.GradingCase, apply_filters: bool) -> dict:
+    record = {"case": list(case.component_ranks), "verdict": "LISTED", "citations": []}
+    if apply_filters:
+        discards = [v for v in (f(case) for f in GRADING_FILTERS) if v.discard]
+        record["verdict"] = "DISCARDED" if discards else "SURVIVING"
+        record["citations"] = [v.citation for v in discards]
+    return record
 
 
 def cmd_gradings(args, out) -> int:
-    rows = _grade_cases(args.rank, args.invertibles, args.apply_filters)
+    rows = [_grade_case(c, args.apply_filters)
+            for c in gradings.enumerate_cases(args.rank, args.invertibles)]
     _emit_gradings(rows, args.format, out)
     return 0
 
@@ -164,87 +146,79 @@ def cmd_gradings(args, out) -> int:
 # --------------------------------------------------------------------------
 # classify
 
-def _adjoint_case_for(rank: int, invertibles: int, cases) -> gradings.GradingCase | None:
-    surviving = [c for c in cases if not any(f(c).discard for f in GRADING_FILTERS)]
-    return surviving[0] if len(surviving) == 1 else None
+def _dual_product(sol: DimSolution, case: gradings.GradingCase):
+    non_div = [d for d in sol.dims if d % case.invertibles]
+    return filters.dual_product_feasible(sorted(set(sol.dims)), min(non_div)) if non_div else None
 
 
-def _semidirect_status(fpdim: int):
-    """For fpdim = p^2 * q^a, decide whether a group-theoretical model exists."""
-    fac = factorize(fpdim).factors
-    if len(fac) != 2:
-        return None
-    (p, ep), (q, eq) = fac
-    candidates = []
-    if ep == 2:
-        candidates.append((p, q, eq))
-    if eq == 2:
-        candidates.append((q, p, ep))
-    if not candidates:
-        return None
-    return any(filters.semidirect_condition(pp, qq, a) for pp, qq, a in candidates)
+def _forced_pointed(sol: DimSolution, case: gradings.GradingCase):
+    if filters.forced_pointed(sol.fpdim):
+        return filters.FilterVerdict(
+            filters.Verdict.DISCARD, "forced-pointed", filters.CITE_FORCED_POINTED,
+            detail=f"fpdim {sol.fpdim} forces a pointed category")
+    return None
 
 
-def _playbook_25_3(case: gradings.GradingCase, sols: list[DimSolution], report: dict) -> None:
-    """Structural filter chain for the rank-25, 3-invertibles case."""
-    p = 3
-    surviving = []
-    needs_manual = []
+#: Per-solution chain for a prime invertible count p with one surviving
+#: grading case.  Each step maps (solution, case) to a FilterVerdict, or to
+#: None when it does not apply (no trail step).  A solution no step discards
+#: is SURVIVING if the last step passes it (a known model realizes it),
+#: else NEEDS_MANUAL_ANALYSIS.
+PRIME_CHAIN = (
+    filters.outside_dim_uniformity,
+    lambda sol, case: filters.fixed_dim_multiplicity_filter(sol, case.invertibles),
+    filters.component_packing_feasible,
+    lambda sol, case: filters.deequiv_solution_filter(sol.dims, case.invertibles, sol.fpdim),
+    _dual_product,
+    _forced_pointed,
+    filters.semidirect_model,
+)
+
+M1_SQUARE_25 = dict(min_m1=25, m1_square=True)
+
+#: (rank, invertibles) -> (extra SearchParams kwargs, per-solution chain).
+#: An empty search discards the hypothesis; rows found by a search without
+#: a chain are attached for manual analysis.  M1_SQUARE_25 applies when a
+#: prime invertible count p with all non-adjoint components of rank p forces
+#: m1 to be a square of at least p^2.
+CLASSIFY_TABLE = {
+    **{(rank, 1): ({}, ()) for rank in (17, 19, 21, 23)},
+    (25, 3): ({}, PRIME_CHAIN),
+    (33, 5): (M1_SQUARE_25, ()),
+    (41, 5): (M1_SQUARE_25, ()),
+    (47, 15): ({}, ()),
+}
+
+NOT_MECHANIZED = {
+    "perfect": "perfect case not mechanized at this rank",
+    "graded": "structural chain not mechanized for this configuration",
+}
+
+
+def _step(verdict: filters.FilterVerdict) -> dict:
+    last = {"detail": verdict.detail} if verdict.discard else {"verdict": verdict.verdict.name}
+    return {"filter": verdict.reason, "citation": verdict.citation, **last}
+
+
+def _run_chain(chain, case: gradings.GradingCase, sols: list[DimSolution], entry: dict) -> None:
     trail = []
     for sol in sols:
         steps = []
-
-        def discard(verdict):
-            steps.append({"filter": verdict.reason, "citation": verdict.citation,
-                          "detail": verdict.detail})
-            trail.append({"solution": _sol_record(sol), "status": "DISCARDED",
-                          "steps": steps})
-
-        v = filters.outside_dim_uniformity(sol, case)
-        if v.discard:
-            discard(v)
-            continue
-        steps.append({"filter": v.reason, "citation": v.citation, "verdict": v.verdict.name})
-        v = filters.fixed_dim_multiplicity_filter(sol, p)
-        if v.discard:
-            discard(v)
-            continue
-        steps.append({"filter": v.reason, "citation": v.citation, "verdict": v.verdict.name})
-        v = filters.component_packing_feasible(sol, case)
-        if v.discard:
-            discard(v)
-            continue
-        steps.append({"filter": v.reason, "citation": v.citation, "verdict": v.verdict.name})
-        v = filters.deequiv_solution_filter(sol.dims, p, sol.fpdim)
-        if v.discard:
-            discard(v)
-            continue
-        steps.append({"filter": v.reason, "citation": v.citation, "verdict": v.verdict.name})
-        non_div = [d for d in sol.dims if d % p]
-        if non_div:
-            v = filters.dual_product_feasible(sorted(set(sol.dims)), min(non_div))
-            if v.discard:
-                discard(v)
-                continue
-            steps.append({"filter": v.reason, "citation": v.citation, "verdict": v.verdict.name})
-        if filters.forced_pointed(sol.fpdim):
-            discard(filters.FilterVerdict(
-                filters.Verdict.DISCARD, "forced-pointed", filters.CITE_FORCED_POINTED,
-                detail=f"fpdim {sol.fpdim} forces a pointed category"))
-            continue
-        semi = _semidirect_status(sol.fpdim)
-        if semi:
-            steps.append({"filter": "semidirect-model", "citation": filters.CITE_SEMIDIRECT,
-                          "verdict": "PASS"})
-            surviving.append(sol)
-            trail.append({"solution": _sol_record(sol), "status": "SURVIVING", "steps": steps})
+        for step in chain:
+            verdict = step(sol, case)
+            if verdict is not None:
+                steps.append(_step(verdict))
+                if verdict.discard:
+                    status = "DISCARDED"
+                    break
         else:
-            needs_manual.append(sol)
-            trail.append({"solution": _sol_record(sol), "status": "NEEDS_MANUAL_ANALYSIS",
-                          "steps": steps})
-    report["surviving"] = [_sol_record(s) for s in surviving]
-    report["needs_manual"] = [_sol_record(s) for s in needs_manual]
-    report["filter_trail"] = trail
+            passed = verdict is not None and verdict.verdict is filters.Verdict.PASS
+            status = "SURVIVING" if passed else "NEEDS_MANUAL_ANALYSIS"
+        trail.append({"solution": _sol_record(sol), "status": status, "steps": steps})
+    for key, status in (("surviving", "SURVIVING"), ("needs_manual", "NEEDS_MANUAL_ANALYSIS")):
+        entry[key] = [item["solution"] for item in trail if item["status"] == status]
+    entry["filter_trail"] = trail
+    entry["surviving_count"] = len(entry["surviving"])
 
 
 def classify(rank: int, jobs: int = 1) -> dict:
@@ -259,51 +233,36 @@ def classify(rank: int, jobs: int = 1) -> dict:
                 {"invertibles": s, "kind": "pointed", "status": "SURVIVING",
                  "note": "all simple objects invertible"})
             continue
-        if s == 1:
-            entry = {"invertibles": 1, "kind": "perfect"}
-            if rank <= 23:
-                rows = enumerate_solutions(SearchParams(rank=rank, invertibles=1), jobs=jobs)
-                if rows:
-                    entry["status"] = "NEEDS_MANUAL_ANALYSIS"
-                    entry["solutions"] = [_sol_record(r) for r in rows]
-                else:
-                    entry["status"] = "DISCARDED"
-                    entry["citations"] = [CITE_EMPTY_SEARCH]
-                    entry["detail"] = "the perfect-case search has no dimension arrays"
-            else:
-                entry["status"] = "NEEDS_MANUAL_ANALYSIS"
-                entry["detail"] = "perfect case not mechanized at this rank"
-            report["hypotheses"].append(entry)
-            continue
-        entry = {"invertibles": s, "kind": "graded"}
-        cases = _grade_cases(rank, s, apply_filters=True)
-        entry["cases"] = cases
-        surviving_cases = [c for c in cases if c["verdict"] == "SURVIVING"]
-        if not surviving_cases:
-            entry["status"] = "DISCARDED"
-            entry["citations"] = sorted({c for row in cases for c in row["citations"]})
-            report["hypotheses"].append(entry)
-            continue
-        if (rank, s) in PLAYBOOK:
-            case = _adjoint_case_for(rank, s, gradings.enumerate_cases(rank, s))
-            sols = enumerate_solutions(SearchParams(rank=rank, invertibles=s), jobs=jobs)
-            entry["status"] = "ANALYZED"
-            _playbook_25_3(case, sols, entry)
-            entry["surviving_count"] = len(entry["surviving"])
-        elif (rank, s) in PREDICATE_INJECTION:
-            params = SearchParams(rank=rank, invertibles=s, **PREDICATE_INJECTION[(rank, s)])
-            rows = enumerate_solutions(params, jobs=jobs)
-            if rows:
-                entry["status"] = "NEEDS_MANUAL_ANALYSIS"
-                entry["solutions"] = [_sol_record(r) for r in rows]
-            else:
+        entry = {"invertibles": s, "kind": "perfect" if s == 1 else "graded"}
+        report["hypotheses"].append(entry)
+        survivors = []
+        if s > 1:
+            cases = gradings.enumerate_cases(rank, s)
+            entry["cases"] = [_grade_case(c, apply_filters=True) for c in cases]
+            survivors = [c for c, row in zip(cases, entry["cases"])
+                         if row["verdict"] == "SURVIVING"]
+            if not survivors:
                 entry["status"] = "DISCARDED"
-                entry["citations"] = [CITE_EMPTY_SEARCH]
-                entry["detail"] = "restricted search has no dimension arrays"
+                entry["citations"] = sorted({c for row in entry["cases"] for c in row["citations"]})
+                continue
+        if (rank, s) not in CLASSIFY_TABLE:
+            entry["status"] = "NEEDS_MANUAL_ANALYSIS"
+            entry["detail"] = NOT_MECHANIZED[entry["kind"]]
+            continue
+        extra, chain = CLASSIFY_TABLE[rank, s]
+        sols = enumerate_solutions(SearchParams(rank=rank, invertibles=s, **extra), jobs=jobs)
+        if not sols:
+            entry["status"] = "DISCARDED"
+            entry["citations"] = [CITE_EMPTY_SEARCH]
+            scope = "restricted" if extra else f"the {entry['kind']}-case"
+            entry["detail"] = f"{scope} search has no dimension arrays"
+        elif chain:
+            (case,) = survivors  # a chain row has exactly one surviving grading case
+            entry["status"] = "ANALYZED"
+            _run_chain(chain, case, sols, entry)
         else:
             entry["status"] = "NEEDS_MANUAL_ANALYSIS"
-            entry["detail"] = "structural chain not mechanized for this configuration"
-        report["hypotheses"].append(entry)
+            entry["solutions"] = [_sol_record(r) for r in sols]
     return report
 
 
@@ -454,6 +413,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     buffer = StringIO()
     try:
+        if args.jobs < 1:  # every subcommand takes --jobs; reject it before any work starts
+            raise ValueError("jobs must be positive")
         status = args.func(args, buffer)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

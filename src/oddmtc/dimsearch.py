@@ -31,19 +31,14 @@ from dataclasses import dataclass, field
 from math import gcd
 from multiprocessing import Pool
 
-from .exactmath import factorize, is_prime_power, isqrt_exact, squarefree_split
-
-
-class InvariantError(AssertionError):
-    """An invariant of the search or of a produced solution failed.
-
-    Raised explicitly, so the checks also run under `python -O`.
-    """
-
-
-def _check(ok: bool, what: str) -> None:
-    if not ok:
-        raise InvariantError(what)
+from .exactmath import (
+    InvariantError,
+    factorize,
+    is_prime_power,
+    isqrt_exact,
+    require,
+    squarefree_split,
+)
 
 
 class Mode(enum.Enum):
@@ -140,21 +135,21 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     """
     s = params.layer_invertibles
     g = params.group_order
-    _check(sol.invertibles == s, "invertible count")
-    _check(len(sol.dims) == params.k, "number of dual pairs")
-    _check(sol.fpdim == g * (s + 2 * sum(d * d for d in sol.dims)), "fpdim equation")
-    _check(sol.fpdim % 2 == 1, "fpdim odd")
-    _check(sol.fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
-    _check(list(sol.dims) == sorted(sol.dims, reverse=True), "dims nonincreasing")
+    require(sol.invertibles == s, "invertible count")
+    require(len(sol.dims) == params.k, "number of dual pairs")
+    require(sol.fpdim == g * (s + 2 * sum(d * d for d in sol.dims)), "fpdim equation")
+    require(sol.fpdim % 2 == 1, "fpdim odd")
+    require(sol.fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
+    require(list(sol.dims) == sorted(sol.dims, reverse=True), "dims nonincreasing")
     prev = 0
     for d, m in zip(sol.dims, sol.quotients):
-        _check(d % 2 == 1 and d >= 3, "dim odd and at least 3")
-        _check(m * d * d == sol.fpdim, "quotient times dim squared is fpdim")
-        _check(m % 2 == 1, "quotient odd")
-        _check(m >= prev, "quotients nondecreasing")
+        require(d % 2 == 1 and d >= 3, "dim odd and at least 3")
+        require(m * d * d == sol.fpdim, "quotient times dim squared is fpdim")
+        require(m % 2 == 1, "quotient odd")
+        require(m >= prev, "quotients nondecreasing")
         prev = m
         if params.perfect:
-            _check(d >= 15 and not is_prime_power(d), "perfect-layer dim")
+            require(d >= 15 and not is_prime_power(d), "perfect-layer dim")
 
 
 def _m1_upper_bound_holds(m1: int, params: SearchParams) -> bool:
@@ -481,11 +476,11 @@ def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution
     m1s = m1_candidates(params)
     if jobs > 1 and len(m1s) > 1:
         with Pool(min(jobs, len(m1s))) as pool:
-            chunks = pool.map(_search_branch, [(params, m1) for m1 in m1s])
+            chunks = pool.map(_search_branch, [(params, m1) for m1 in m1s], chunksize=1)
     else:
         chunks = [_search_branch((params, m1)) for m1 in m1s]
     out = [sol for chunk in chunks for sol in chunk]
-    _check(len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions")
+    require(len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions")
     for sol in out:
         validate_solution(sol, params)
     return sorted(out, key=DimSolution.sort_key)

@@ -11,6 +11,18 @@ import math
 from dataclasses import dataclass
 
 
+class InvariantError(AssertionError):
+    """An invariant of a search, a solution or a value object failed.
+
+    Raised explicitly, so the checks also run under `python -O`.
+    """
+
+
+def require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization as a sorted tuple of (prime, exponent) pairs."""
@@ -19,8 +31,9 @@ class Factorization:
 
     def __post_init__(self):
         primes = [p for p, _ in self.factors]
-        assert primes == sorted(primes) and len(set(primes)) == len(primes)
-        assert all(e >= 1 for _, e in self.factors)
+        require(primes == sorted(primes) and len(set(primes)) == len(primes),
+                "primes strictly increasing")
+        require(all(e >= 1 for _, e in self.factors), "exponents positive")
 
     @property
     def value(self) -> int:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from collections import Counter
 
-from .exactmath import factorize, isqrt_exact
+from .exactmath import factorize, is_prime, isqrt_exact, require
 
 CITE_FIXED_DIM = "rule:non-fixed-dims-come-in-2p-batches"
 CITE_DEEQUIV = "rule:quotient-category-divisibility"
@@ -22,7 +22,6 @@ CITE_UNIFORMITY = "rule:equal-dims-outside-adjoint"
 CITE_PACKING = "rule:equal-component-fpdim-packing"
 CITE_DUAL_PRODUCT = "rule:dual-product-dimension-equation"
 CITE_FORCED_POINTED = "rule:squarefree-times-small-prime-power-is-pointed"
-CITE_SOLVABLE = "rule:two-prime-fpdim-needs-invertible"
 CITE_SEMIDIRECT = "rule:semidirect-product-divisibility"
 
 
@@ -41,7 +40,7 @@ class FilterVerdict:
 
     def __post_init__(self):
         if self.verdict is Verdict.DISCARD:
-            assert self.reason and self.citation
+            require(bool(self.reason and self.citation), "a discard names its reason and citation")
 
     @property
     def discard(self) -> bool:
@@ -68,9 +67,10 @@ class DeequivProfile:
 
     def __post_init__(self):
         p = self.prime
-        assert all(d % p == 0 for d in self.fixed_dims)
-        assert (p * len(self.nonfixed_orbit_dims)) % (2 * p) == 0
-        assert self.invertible_count == 1 + p * sum(1 for d in self.fixed_dims if d == p)
+        require(all(d % p == 0 for d in self.fixed_dims), "fixed dims divisible by p")
+        require(len(self.nonfixed_orbit_dims) % 2 == 0, "orbit dims come in dual pairs")
+        require(self.invertible_count == 1 + p * sum(1 for d in self.fixed_dims if d == p),
+                "invertible count of the quotient")
 
 
 def full_multiset(dims, invertibles: int) -> list[int]:
@@ -179,8 +179,6 @@ def outside_dim_uniformity(solution, case) -> FilterVerdict:
     rank p, the p(p-1) objects outside the adjoint part share one dim
     d with fpdim = p^2 * d^2."""
     p = case.invertibles
-    from .exactmath import is_prime  # local to avoid import cycle at module load
-
     mults = Counter(case.component_ranks)
     odd = [r for r, c in mults.items() if c % 2 == 1]
     non_adjoint_all_p = len(odd) == 1 and all(
@@ -303,27 +301,28 @@ def forced_pointed(fpdim: int) -> bool:
     return len(heavy) <= 1 and all(e <= 4 for e in heavy)
 
 
-def solvable_needs_invertible(fpdim: int, dims) -> FilterVerdict:
-    """A layer whose fpdim has at most two distinct primes is solvable and
-    must contain a non-trivial invertible object (a dim-1 entry)."""
-    if fpdim % 2 == 0:
-        raise ValueError("fpdim must be odd")
-    if len(factorize(fpdim).factors) > 2:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, "solvable-invertible", CITE_SOLVABLE)
-    if fpdim > 1 and 1 not in dims:
-        return FilterVerdict(
-            Verdict.DISCARD, "solvable-invertible", CITE_SOLVABLE,
-            detail="two-prime fpdim layer has no non-trivial invertible object",
-        )
-    return FilterVerdict(Verdict.PASS, "solvable-invertible", CITE_SOLVABLE)
-
-
 def semidirect_condition(p: int, q: int, a: int) -> bool:
     """Existence condition for the realizing family at fpdim p^2 * q^a."""
-    from .exactmath import is_prime
-
     if p == q or not is_prime(p) or not is_prime(q) or p == 2 or q == 2:
         raise ValueError("p and q must be distinct odd primes")
     if not 1 <= a <= 4:
         raise ValueError("a must be in [1, 4]")
     return (q - 1) % p == 0 or (p - 1) % q == 0
+
+
+def semidirect_model(solution, case=None) -> FilterVerdict | None:
+    """PASS when fpdim = p^2 * q^a (1 <= a <= 4) meets `semidirect_condition`
+    for one of its two readings, so a group-theoretical model realizes the
+    solution; None (no verdict) when fpdim has another shape or neither
+    reading does."""
+    candidates = []
+    fac = factorize(solution.fpdim).factors
+    if len(fac) == 2:
+        (p, ep), (q, eq) = fac
+        if ep == 2 and eq <= 4:
+            candidates.append((p, q, eq))
+        if eq == 2 and ep <= 4:
+            candidates.append((q, p, ep))
+    if any(semidirect_condition(pp, qq, a) for pp, qq, a in candidates):
+        return FilterVerdict(Verdict.PASS, "semidirect-model", CITE_SEMIDIRECT)
+    return None

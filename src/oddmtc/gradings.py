@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import factorize, is_prime
+from .exactmath import factorize, is_prime, require
 from .filters import FilterVerdict, Verdict
 
 
@@ -22,11 +22,11 @@ class GradingCase:
     invertibles: int
 
     def __post_init__(self):
-        assert len(self.component_ranks) == self.invertibles
-        assert sum(self.component_ranks) == self.rank
-        assert list(self.component_ranks) == sorted(self.component_ranks, reverse=True)
-        r0 = self.component_ranks[0] % 8
-        assert all(r % 8 == r0 for r in self.component_ranks)
+        ranks = self.component_ranks
+        require(len(ranks) == self.invertibles, "one component per invertible")
+        require(sum(ranks) == self.rank, "component ranks sum to the rank")
+        require(list(ranks) == sorted(ranks, reverse=True), "component ranks descending")
+        require(len({r % 8 for r in ranks}) == 1, "component ranks congruent mod 8")
 
     def rank_multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -145,29 +145,6 @@ def filter_odd_multiplicity(case: GradingCase) -> FilterVerdict:
     return FilterVerdict(Verdict.PASS, "odd-multiplicity", CITE_ODD_MULT)
 
 
-def filter_equal_rank_components(
-    case: GradingCase, assumed_adjoint_invertibles: int
-) -> FilterVerdict:
-    """With a proper adjoint invertible count, at least three components
-    must share the adjoint component's rank."""
-    if case.invertibles % assumed_adjoint_invertibles != 0:
-        raise ValueError("assumed adjoint invertible count must divide invertibles")
-    if assumed_adjoint_invertibles >= case.invertibles:
-        return FilterVerdict(Verdict.PASS, "equal-rank-components", CITE_EQUAL_RANK)
-    odd = case.odd_multiplicity_ranks()
-    if len(odd) != 1:
-        return FilterVerdict(Verdict.PASS, "equal-rank-components", CITE_EQUAL_RANK)
-    if case.rank_multiplicities()[odd[0]] < 3:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "equal-rank-components",
-            CITE_EQUAL_RANK,
-            detail="fewer than 3 components share the adjoint component's rank",
-        )
-    return FilterVerdict(Verdict.PASS, "equal-rank-components", CITE_EQUAL_RANK)
-
-
 CITE_MIN_THREE = "rule:pointed-part-needs-three-large-components"
 CITE_DIVISIBILITY = "rule:non-adjoint-component-ranks-divisible-by-p"
 CITE_ODD_MULT = "rule:unique-odd-multiplicity-component-rank"
-CITE_EQUAL_RANK = "rule:three-components-of-adjoint-rank"

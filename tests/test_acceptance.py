@@ -168,9 +168,8 @@ class TestCriterion8FilterChain:
             assert not filters.dual_product_feasible(
                 sorted(set(survivor.dims)), 7).discard
 
-    def test_classify_rank25_flags(self):
-        report = cli.classify(25)
-        graded = [h for h in report["hypotheses"]
+    def test_classify_rank25_flags(self, classify_reports):
+        graded = [h for h in classify_reports[25]["hypotheses"]
                   if h["kind"] == "graded" and h["invertibles"] == 3][0]
         surviving = {(s["fpdim"], tuple(s["dims"])) for s in graded["surviving"]}
         flagged = {(s["fpdim"], tuple(s["dims"])) for s in graded["needs_manual"]}

@@ -4,7 +4,120 @@ import json
 
 import pytest
 
-from oddmtc import cli
+from oddmtc import cli, dimsearch, gradings
+
+# Expected `classify` verdicts, ranks 17-49: D discarded, N needs manual
+# analysis, S surviving (pointed), A analyzed by a per-solution chain.
+D, N, S, A = "DISCARDED", "NEEDS_MANUAL_ANALYSIS", "SURVIVING", "ANALYZED"
+EMPTY = cli.CITE_EMPTY_SEARCH
+ADJ = cli.CITE_ADJOINT_CONTAINS
+DIV = gradings.CITE_DIVISIBILITY
+MIN3 = gradings.CITE_MIN_THREE
+ODD = gradings.CITE_ODD_MULT
+
+CLASSIFY_STATUS = {
+    17: {1: D, 3: N, 9: D, 17: S},
+    19: {1: D, 3: D, 11: D, 19: S},
+    21: {1: D, 3: D, 5: D, 7: D, 13: D, 21: S},
+    23: {1: D, 3: D, 5: D, 7: D, 15: D, 23: S},
+    25: {1: N, 3: A, 5: N, 9: D, 17: D, 25: S},
+    27: {1: N, 3: N, 9: D, 11: D, 19: D, 27: S},
+    29: {1: N, 3: D, 5: D, 7: D, 13: D, 21: D, 29: S},
+    31: {1: N, 3: D, 5: D, 7: D, 15: D, 23: D, 31: S},
+    33: {1: N, 3: N, 5: D, 9: N, 11: D, 17: D, 25: D, 33: S},
+    35: {1: N, 3: N, 5: D, 7: D, 9: N, 11: D, 19: D, 27: D, 35: S},
+    37: {1: N, 3: N, 5: D, 7: D, 13: D, 21: D, 29: D, 37: S},
+    39: {1: N, 3: D, 5: D, 7: D, 13: D, 15: D, 23: D, 31: D, 39: S},
+    41: {1: N, 3: N, 5: N, 9: N, 11: D, 17: D, 25: D, 33: D, 41: S},
+    43: {1: N, 3: N, 5: D, 7: D, 9: N, 11: D, 19: D, 27: D, 35: D, 43: S},
+    45: {1: N, 3: N, 5: D, 7: D, 9: D, 13: D, 15: D, 21: D, 29: D, 37: D, 45: S},
+    47: {1: N, 3: N, 5: D, 7: D, 13: D, 15: D, 23: D, 31: D, 39: D, 47: S},
+    49: {1: N, 3: N, 5: N, 7: N, 9: N, 11: D, 17: D, 25: D, 33: D, 41: D, 49: S},
+}
+
+CLASSIFY_DISCARD_CITATIONS = {
+    (17, 1): [EMPTY],
+    (17, 9): [MIN3],
+    (19, 1): [EMPTY],
+    (19, 3): [ADJ, DIV, MIN3, ODD],
+    (19, 11): [ADJ, DIV, MIN3],
+    (21, 1): [EMPTY],
+    (21, 3): [DIV],
+    (21, 5): [ADJ, DIV, MIN3, ODD],
+    (21, 7): [ADJ, DIV, MIN3],
+    (21, 13): [ADJ, DIV, MIN3],
+    (23, 1): [EMPTY],
+    (23, 3): [DIV],
+    (23, 5): [DIV, MIN3],
+    (23, 7): [ADJ, DIV, MIN3, ODD],
+    (23, 15): [ADJ, MIN3],
+    (25, 9): [ADJ, MIN3, ODD],
+    (25, 17): [ADJ, DIV, MIN3],
+    (27, 9): [ADJ],
+    (27, 11): [ADJ, DIV, MIN3, ODD],
+    (27, 19): [ADJ, DIV, MIN3],
+    (29, 3): [DIV],
+    (29, 5): [DIV, MIN3, ODD],
+    (29, 7): [DIV, MIN3],
+    (29, 13): [ADJ, DIV, MIN3, ODD],
+    (29, 21): [ADJ, MIN3],
+    (31, 3): [DIV],
+    (31, 5): [ADJ, DIV, MIN3],
+    (31, 7): [DIV, MIN3, ODD],
+    (31, 15): [ADJ, MIN3, ODD],
+    (31, 23): [ADJ, DIV, MIN3],
+    (33, 5): [EMPTY],
+    (33, 11): [ADJ, DIV, MIN3],
+    (33, 17): [ADJ, DIV, MIN3, ODD],
+    (33, 25): [ADJ, MIN3],
+    (35, 5): [DIV],
+    (35, 7): [ADJ, DIV, MIN3],
+    (35, 11): [ADJ, DIV, MIN3, ODD],
+    (35, 19): [ADJ, DIV, MIN3, ODD],
+    (35, 27): [ADJ, MIN3],
+    (37, 5): [ADJ, DIV, MIN3, ODD],
+    (37, 7): [ADJ, DIV, MIN3],
+    (37, 13): [ADJ, DIV, MIN3, ODD],
+    (37, 21): [ADJ, MIN3, ODD],
+    (37, 29): [ADJ, DIV, MIN3],
+    (39, 3): [DIV, ODD],
+    (39, 5): [DIV, MIN3, ODD],
+    (39, 7): [ADJ, DIV, MIN3, ODD],
+    (39, 13): [ADJ, DIV, MIN3],
+    (39, 15): [ADJ, MIN3, ODD],
+    (39, 23): [ADJ, DIV, MIN3, ODD],
+    (39, 31): [ADJ, DIV, MIN3],
+    (41, 11): [DIV, MIN3],
+    (41, 17): [ADJ, DIV, MIN3, ODD],
+    (41, 25): [ADJ, MIN3, ODD],
+    (41, 33): [ADJ, MIN3],
+    (43, 5): [DIV],
+    (43, 7): [DIV, MIN3],
+    (43, 11): [ADJ, DIV, MIN3, ODD],
+    (43, 19): [ADJ, DIV, MIN3, ODD],
+    (43, 27): [ADJ, MIN3, ODD],
+    (43, 35): [ADJ, MIN3],
+    (45, 5): [DIV, MIN3, ODD],
+    (45, 7): [DIV, MIN3, ODD],
+    (45, 9): [ADJ],
+    (45, 13): [ADJ, DIV, MIN3, ODD],
+    (45, 15): [ADJ],
+    (45, 21): [ADJ, MIN3, ODD],
+    (45, 29): [ADJ, DIV, MIN3, ODD],
+    (45, 37): [ADJ, DIV, MIN3],
+    (47, 5): [ADJ, DIV, MIN3, ODD],
+    (47, 7): [DIV, MIN3, ODD],
+    (47, 13): [ADJ, DIV, MIN3],
+    (47, 15): [EMPTY],
+    (47, 23): [ADJ, DIV, MIN3, ODD],
+    (47, 31): [ADJ, DIV, MIN3, ODD],
+    (47, 39): [ADJ, MIN3],
+    (49, 11): [ADJ, DIV, MIN3],
+    (49, 17): [ADJ, DIV, MIN3, ODD],
+    (49, 25): [ADJ, MIN3, ODD],
+    (49, 33): [ADJ, MIN3, ODD],
+    (49, 41): [ADJ, DIV, MIN3],
+}
 
 
 def run(capsys, *argv):
@@ -75,6 +188,24 @@ class TestDims:
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradings", "--rank", "29", "--invertibles", "5"],
+    ["classify", "--rank", "29"],
+    ["verify-goldens"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_every_subcommand_rejects_bad_jobs(capsys, monkeypatch, argv, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(dimsearch, "Pool", no_pool)
+    code = cli.main(argv + ["--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestAdjointDims:
     def test_rank45(self, capsys):
         code, out = run(capsys, "adjoint-dims", "--rank", "45", "--gc", "3",
@@ -123,6 +254,17 @@ class TestClassify:
         for h in report["hypotheses"]:
             if h["status"] == "DISCARDED":
                 assert h["citations"]
+
+    def test_statuses_pinned(self, classify_reports):
+        got = {rank: {h["invertibles"]: h["status"] for h in report["hypotheses"]}
+               for rank, report in classify_reports.items()}
+        assert got == CLASSIFY_STATUS
+
+    def test_discard_citations_pinned(self, classify_reports):
+        got = {(rank, h["invertibles"]): h["citations"]
+               for rank, report in classify_reports.items()
+               for h in report["hypotheses"] if h["status"] == "DISCARDED"}
+        assert got == CLASSIFY_DISCARD_CITATIONS
 
     def test_rank_out_of_range(self, capsys):
         assert cli.main(["classify", "--rank", "15"]) == 2

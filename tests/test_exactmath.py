@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oddmtc.exactmath import (
     Factorization,
+    InvariantError,
     factorize,
     is_prime,
     is_prime_power,
@@ -58,8 +63,34 @@ class TestFactorize:
             assert is_prime(p)
 
     def test_invariant_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             Factorization(((5, 1), (3, 1)))  # unsorted
+
+    def test_value_invariants_enforced_under_optimize(self):
+        code = (
+            "from oddmtc.exactmath import Factorization, InvariantError\n"
+            "from oddmtc.filters import DeequivProfile, FilterVerdict, Verdict\n"
+            "from oddmtc.gradings import GradingCase\n"
+            "assert False, 'assert statements are live'\n"
+            "broken = [\n"
+            "    lambda: Factorization(((5, 1), (3, 1))),\n"
+            "    lambda: GradingCase((3, 3, 1), 7, 3),\n"
+            "    lambda: FilterVerdict(Verdict.DISCARD, '', ''),\n"
+            "    lambda: DeequivProfile(3, (5,), (), 1, 1, (), 1),\n"
+            "]\n"
+            "for make in broken:\n"
+            "    try:\n"
+            "        print('accepted', make())\n"
+            "    except InvariantError:\n"
+            "        print('rejected')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "rejected\n" * 4
 
 
 class TestSquarefreeSplit:

@@ -157,12 +157,6 @@ class TestNumberTheoryFilters:
         with pytest.raises(ValueError):
             filters.forced_pointed(12)
 
-    def test_solvable_needs_invertible(self):
-        assert filters.solvable_needs_invertible(147, (7, 7, 3)).discard
-        assert not filters.solvable_needs_invertible(147, (7, 7, 1)).discard
-        assert filters.solvable_needs_invertible(
-            3 * 5 * 7, (3,)).verdict is Verdict.NOT_APPLICABLE
-
     def test_semidirect_condition(self):
         assert filters.semidirect_condition(3, 7, 2)   # 3 | 7 - 1
         assert filters.semidirect_condition(5, 11, 1)  # 5 | 11 - 1
@@ -174,6 +168,12 @@ class TestNumberTheoryFilters:
             filters.semidirect_condition(2, 7, 2)
         with pytest.raises(ValueError):
             filters.semidirect_condition(3, 7, 5)
+
+    def test_semidirect_model(self):
+        assert filters.semidirect_model(t1_solution(34), RANK25_CASE).verdict is Verdict.PASS
+        assert filters.semidirect_model(DimSolution(3**2 * 5**4, 3, (), ())) is None
+        assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, (), ())) is None
+        assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, (), ())) is None
 
 
 class TestFullMultiset:

@@ -8,7 +8,6 @@ from oddmtc.gradings import (
     GradingCase,
     enumerate_cases,
     filter_divisibility,
-    filter_equal_rank_components,
     filter_min_three_components,
     filter_odd_multiplicity,
     invertible_count_candidates,
@@ -95,16 +94,6 @@ class TestFilters:
         assert filter_odd_multiplicity(case([9, 9, 9, 9] + [1] * 11, 47, 15)).discard
         assert filter_odd_multiplicity(case([17, 9, 9, 9, 1, 1, 1, 1, 1], 49, 9)).discard
         assert filter_odd_multiplicity(case([27, 3, 3], 33, 3)).verdict is Verdict.PASS
-
-    def test_equal_rank_components(self):
-        assert filter_equal_rank_components(
-            case([17, 9, 9, 1, 1, 1, 1, 1, 1], 41, 9), 3).discard
-        assert filter_equal_rank_components(
-            case([19, 3, 3, 3, 3, 3, 3, 3, 3], 43, 9), 3).discard
-        assert filter_equal_rank_components(
-            case([27, 3, 3], 33, 3), 3).verdict is Verdict.PASS
-        with pytest.raises(ValueError):
-            filter_equal_rank_components(case([27, 3, 3], 33, 3), 2)
 
     def test_order_independence(self):
         fns = [filter_min_three_components, filter_divisibility, filter_odd_multiplicity]
