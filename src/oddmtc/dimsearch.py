@@ -19,6 +19,9 @@ evaluated with exact rational arithmetic.
 Each m1 branch is one depth-first search over u-chains (`_Engine`) with a
 single child generator.  The min_run predicate rides along as a counter of
 the trailing run of equal u_i, which cuts and extends states structurally.
+The last level is closed in `_Engine.final_node` by a divisor scan confined
+to the window [lo, hi] of d_k that the final-level equation allows; the
+prime hint that factors its target is built only there.
 A search with fpdim_bound instead runs `_bounded_branch`, an exact
 subset-sum over the divisors the bound allows.
 """
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from multiprocessing import Pool
 
@@ -225,8 +230,8 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return out
 
 
-def _factor_with_hint(n: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Factor n whose prime divisors are all contained in `primes`."""
+def _factor_with_hint(n: int, primes) -> list[tuple[int, int]]:
+    """Factor n whose prime divisors are all among the distinct `primes`."""
     fac = []
     m = n
     for p in primes:
@@ -241,22 +246,19 @@ def _factor_with_hint(n: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
     return fac
 
 
-def _square_divisor_roots(fac: list[tuple[int, int]]) -> list[int]:
-    """All d with d^2 dividing the factored number."""
-    roots = [1]
+def _square_divisor_roots(fac: list[tuple[int, int]], hi: int) -> list[int]:
+    """All d <= hi with d^2 dividing the factored number, ascending."""
+    roots = [1] if hi >= 1 else []
     for p, e in fac:
-        half = e // 2
-        if half:
-            powers = [p ** a for a in range(half + 1)]
-            roots = [r * q for r in roots for q in powers]
+        grown = []
+        q = p
+        for _ in range(e // 2):
+            grown += [r * q for r in roots[:bisect_right(roots, hi // q)]]
+            q *= p
+        if grown:
+            roots += grown
+            roots.sort()
     return roots
-
-
-def _extend_hint(hint: tuple[int, ...], u: int) -> tuple[int, ...]:
-    for p in _prime_factors(u):
-        if p not in hint:
-            hint = hint + (p,)
-    return hint
 
 
 class _Engine:
@@ -266,8 +268,18 @@ class _Engine:
     integer pair (A, B) with c_i = A/B, together with the u-chain so far.
     The level-k test (d_k^2 = s/c_k a perfect square) is answered without
     scanning: every valid d_k satisfies d_k^2 | s*B*u^2, so candidates are
-    read off the square divisors of that number, whose prime factors are
-    known because B divides g times the product of the u_i^2.
+    read off the square divisors of that number.  Its prime factors are
+    known because B divides g times the product of the u_i^2; the hint
+    holding them (the primes of s, g, w and of the path) is built in
+    `final_node` alone, since most pushed states never reach the last level.
+
+    `final_node` scans only the roots d in a window [lo, hi] implied by the
+    final-level equation A*d^2*u_k^2 = B*u^2*(s + 2*d^2):
+    * u_k >= u needs (A - 2B)*d^2 <= s*B, which bounds d above when A > 2B;
+    * the part a of A prime to s*B*u^2 divides s + 2*d^2, so
+      d^2 >= (a - s)/2, and a root is dropped before the big-integer
+      division unless s + 2*d^2 = 0 mod a.
+    A state whose window is empty returns before anything is factored.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -287,16 +299,33 @@ class _Engine:
         self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0
         self.dmin = 15 if params.perfect else 3
+        # the prime hint of final_node holds the primes of these and of the path
+        self.base = (self.s, params.group_order, w)
         self.out: list[DimSolution] = []
 
-    def final_node(self, A: int, B: int, u: int, path, hint) -> None:
-        """rem = 1: emit every (u_k, d_k) completion of this state."""
+    def final_node(self, A: int, B: int, u: int, path) -> None:
+        """rem = 1: emit every (u_k, d_k) completion of this state.
+
+        A completion solves A*d^2*u_k^2 = B*u^2*(s + 2*d^2) with d = d_k.
+        """
         s = self.s
         u2 = u * u
         target = s * B * u2
-        fac = _factor_with_hint(target, hint)
-        for d in _square_divisor_roots(fac):
-            if d < self.dmin:
+        # u_k >= u needs (A - 2B)*d^2 <= s*B
+        hi = math.isqrt(s * B // (A - 2 * B)) if A > 2 * B else math.isqrt(target)
+        # a, the part of A prime to target, is prime to B*u^2, so a | s + 2*d^2
+        a = A
+        g = gcd(a, target)
+        while g != 1:
+            a //= g
+            g = gcd(a, g)
+        lo = max(self.dmin, math.isqrt(max(a - s, 0) // 2))
+        if lo > hi:
+            return
+        hint = dict.fromkeys(chain.from_iterable(map(_prime_factors, self.base + path)))
+        roots = _square_divisor_roots(_factor_with_hint(target, hint), hi)
+        for d in roots[bisect_left(roots, lo):]:
+            if (s + 2 * d * d) % a:
                 continue
             An = target // (d * d)
             q, r = divmod(An + 2 * B * u2, A)
@@ -348,11 +377,9 @@ class _Engine:
     def search(self, A0: int, B0: int, u1: int) -> None:
         k = self.k
         L = self.L
-        hint = _extend_hint(_extend_hint(_extend_hint((), self.s), self.params.group_order), u1)
-        hint = _extend_hint(hint, self.w)
-        stack = [(1, A0, B0, u1, (u1,), hint, 1)]
+        stack = [(1, A0, B0, u1, (u1,), 1)]
         while stack:
-            i, A, B, u, path, hint, run = stack.pop()
+            i, A, B, u, path, run = stack.pop()
             if run < L:
                 need = L - run
                 if k - i < need:
@@ -370,14 +397,14 @@ class _Engine:
                 self.final_chain(A, B, path)
                 continue
             if rem == 1:
-                self.final_node(A, B, u, path, hint)
+                self.final_node(A, B, u, path)
                 continue
             # a value opened now must carry the run itself when no fresh
             # run fits after it, which needs c' > 2*(L - 1)
             lo = 2 * L if run < L and rem - 1 < L else 2
             for up, An, Bn in self.children(A, B, u, rem, lo):
                 nrun = run if run == L else run + 1 if up == u else 1
-                stack.append((i + 1, An, Bn, up, path + (up,), _extend_hint(hint, up), nrun))
+                stack.append((i + 1, An, Bn, up, path + (up,), nrun))
 
 
 def _divisors_between(n: int, lo: int, hi: int) -> list[int]:

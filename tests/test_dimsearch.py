@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,11 +15,15 @@ from oddmtc.dimsearch import (
     InvariantError,
     Mode,
     SearchParams,
+    _Engine,
+    _finish,
     _min_run_ok,
+    _square_divisor_roots,
     enumerate_solutions,
     m1_candidates,
     validate_solution,
 )
+from oddmtc.exactmath import factorize, isqrt_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
@@ -39,6 +44,30 @@ def next_level(
         if c_next > 0 and (not params.mi_coprime or u % params.mi_coprime != 0):
             out.append((u, c_next))
         u += 2
+    return out
+
+
+def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path) -> list[DimSolution]:
+    """Completions of a rem = 1 state by an unbounded scan: every d with
+    d^2 | s*B*u^2, factored from scratch, tested by exact division."""
+    u2 = u * u
+    target = eng.s * B * u2
+    roots = [1]
+    for p, e in factorize(target).factors:
+        roots = [r * p**a for r in roots for a in range(e // 2 + 1)]
+    out = []
+    for d in roots:
+        if d < eng.dmin:
+            continue
+        q, r = divmod(target // (d * d) + 2 * B * u2, A)
+        if r:
+            continue
+        up, square = isqrt_exact(q)
+        if not square or up < u or up % 2 == 0 or (eng.cop and up % eng.cop == 0):
+            continue
+        sol = _finish(path + (up,), d, eng.w, eng.params)
+        if sol is not None:
+            out.append(sol)
     return out
 
 
@@ -75,6 +104,27 @@ class TestSearchParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SearchParams(**kwargs)
+
+    @given(rank=st.integers(-3, 60), invertibles=st.integers(-3, 60),
+           min_m1=st.integers(-2, 30),
+           min_run=st.none() | st.integers(-3, 8),
+           mi_coprime=st.none() | st.integers(-3, 8),
+           fpdim_bound=st.none() | st.integers(-5, 10**7))
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_exactly_invalid_kwargs(self, **kwargs):
+        rank, s = kwargs["rank"], kwargs["invertibles"]
+        invalid = (
+            rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or rank <= s
+            or kwargs["min_m1"] < 1
+            or (kwargs["min_run"] is not None and kwargs["min_run"] < 2)
+            or (kwargs["mi_coprime"] is not None and kwargs["mi_coprime"] < 2)
+            or (kwargs["fpdim_bound"] is not None and kwargs["fpdim_bound"] < 1)
+        )
+        if invalid:
+            with pytest.raises(ValueError):
+                SearchParams(**kwargs)
+        else:
+            assert SearchParams(**kwargs).k == (rank - s) // 2
 
 
 class TestM1Candidates:
@@ -133,6 +183,40 @@ class TestNextLevel:
             assert un * un * c <= (Fraction(3, 9) + 2 * rem) * u * u
 
 
+class TestSquareDivisorRoots:
+    @given(fac=st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 6)),
+                        max_size=4, unique_by=lambda pe: pe[0]),
+           hi=st.integers(0, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_roots(self, fac, hi):
+        n = math.prod(p**e for p, e in fac)
+        roots = _square_divisor_roots(fac, hi)
+        want = [d for d in range(1, min(hi, math.isqrt(n)) + 1) if n % (d * d) == 0]
+        assert roots == want
+
+
+class TestFinalNode:
+    @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7"])
+    def test_matches_unbounded_scan(self, table, golden_tables, monkeypatch):
+        p = RANK27 if table == "rank27" else golden_tables[table].params
+        bounded = _Engine.final_node
+        calls = emitted = 0
+
+        def checked(eng, A, B, u, path):
+            nonlocal calls, emitted
+            start = len(eng.out)
+            bounded(eng, A, B, u, path)
+            got = sorted(eng.out[start:], key=DimSolution.sort_key)
+            want = sorted(_final_node_reference(eng, A, B, u, path), key=DimSolution.sort_key)
+            assert got == want, (A, B, u, path)
+            calls += 1
+            emitted += len(got)
+
+        monkeypatch.setattr(_Engine, "final_node", checked)
+        enumerate_solutions(p)
+        assert calls and emitted
+
+
 class TestMinRunPredicate:
     def test_qualifying(self):
         assert _min_run_ok((7, 7, 7, 7, 7, 5, 5, 5, 5, 5), 5)
@@ -162,9 +246,8 @@ class TestEnumerateSolutions:
             (333, (3, 3, 3, 3, 3, 3)),
         ]
 
-    def test_canonical_order_and_quotients(self, golden_tables):
-        t1 = golden_tables["T1"]
-        sols = enumerate_solutions(t1.params)
+    def test_canonical_order_and_quotients(self, rank25_solutions):
+        sols = rank25_solutions
         assert sols == sorted(sols, key=DimSolution.sort_key)
         for s in sols:
             assert s.quotients == tuple(s.fpdim // (d * d) for d in s.dims)
@@ -178,11 +261,9 @@ class TestEnumerateSolutions:
         with pytest.raises(ValueError):
             enumerate_solutions(RANK27, jobs=jobs)
 
-    def test_fpdim_bound_restricts(self):
-        p = SearchParams(rank=25, invertibles=3)
-        full = enumerate_solutions(p)
+    def test_fpdim_bound_restricts(self, rank25_solutions):
         capped = enumerate_solutions(SearchParams(rank=25, invertibles=3, fpdim_bound=10**5))
-        assert [s for s in full if s.fpdim <= 10**5] == capped
+        assert [s for s in rank25_solutions if s.fpdim <= 10**5] == capped
 
 
 class TestValidateSolution:
