@@ -68,7 +68,7 @@ def _emit_gradings(rows: list[dict], fmt: str, out) -> None:
 # --------------------------------------------------------------------------
 # search subcommands
 
-def _params_from_args(args, mode: Mode) -> SearchParams:
+def _params_from_args(args) -> SearchParams:
     kwargs = dict(
         rank=args.rank,
         min_m1=args.min_m1,
@@ -77,9 +77,9 @@ def _params_from_args(args, mode: Mode) -> SearchParams:
         mi_coprime=args.mi_coprime,
         min_run=args.min_run,
         fpdim_bound=args.fpdim_bound,
-        mode=mode,
+        mode=args.mode,
     )
-    if mode is Mode.BASIC:
+    if args.mode is Mode.BASIC:
         kwargs["invertibles"] = args.invertibles
     else:
         kwargs["invertibles"] = args.gc
@@ -89,13 +89,8 @@ def _params_from_args(args, mode: Mode) -> SearchParams:
 
 
 def cmd_dims(args, out) -> int:
-    params = _params_from_args(args, Mode.BASIC)
-    _emit_solutions(enumerate_solutions(params, jobs=args.jobs), args.format, out)
-    return 0
-
-
-def cmd_adjoint_dims(args, out) -> int:
-    params = _params_from_args(args, Mode.ADJOINT)
+    """`dims` and `adjoint-dims`; the subparser sets `args.mode`."""
+    params = _params_from_args(args)
     _emit_solutions(enumerate_solutions(params, jobs=args.jobs), args.format, out)
     return 0
 
@@ -304,6 +299,13 @@ def cmd_classify(args, out) -> int:
 # --------------------------------------------------------------------------
 # verification subcommands
 
+def _write_diff(diff, out) -> None:
+    for row in diff.missing:
+        out.write(f"  missing {row.fpdim} {list(row.dims)}\n")
+    for row in diff.extra:
+        out.write(f"  extra {row.fpdim} {list(row.dims)}\n")
+
+
 def cmd_verify_goldens(args, out) -> int:
     tables = goldens.load_goldens()
     failures = []
@@ -315,37 +317,31 @@ def cmd_verify_goldens(args, out) -> int:
             failures.append(diff)
             out.write(f"{table.table_id}: MISMATCH "
                       f"({len(diff.missing)} missing, {len(diff.extra)} extra)\n")
-            for row in diff.missing:
-                out.write(f"  missing {row.fpdim} {list(row.dims)}\n")
-            for row in diff.extra:
-                out.write(f"  extra {row.fpdim} {list(row.dims)}\n")
+            _write_diff(diff, out)
     out.write(f"{len(tables) - len(failures)}/{len(tables)} tables match\n")
     return 1 if failures else 0
 
 
 def cmd_oracle_check(args, out) -> int:
-    bound = args.fpdim_bound or 10 ** 6
-    params = _params_from_args(args, Mode.BASIC)
+    params = _params_from_args(args)  # --fpdim-bound defaults to 10^6 here
     search = enumerate_solutions(params, jobs=args.jobs)
-    reference = oracle.oracle_enumerate(params, bound)
-    diff = oracle.compare(search, reference, bound)
+    reference = oracle.oracle_enumerate(params, params.fpdim_bound)
+    diff = oracle.compare(search, reference, params.fpdim_bound)
     if diff.empty:
-        out.write(f"match: {len(reference)} solutions with fpdim <= {bound}\n")
+        out.write(f"match: {len(reference)} solutions with fpdim <= {params.fpdim_bound}\n")
         return 0
     out.write(f"MISMATCH: {len(diff.missing)} missing, {len(diff.extra)} extra\n")
-    for row in diff.missing:
-        out.write(f"  missing {row.fpdim} {list(row.dims)}\n")
-    for row in diff.extra:
-        out.write(f"  extra {row.fpdim} {list(row.dims)}\n")
+    _write_diff(diff, out)
     return 1
 
 
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_search_flags(sub, adjoint: bool) -> None:
+def _add_search_flags(sub, mode: Mode) -> None:
+    sub.set_defaults(mode=mode)
     sub.add_argument("--rank", type=int, required=True)
-    if adjoint:
+    if mode is Mode.ADJOINT:
         sub.add_argument("--gc", type=int, required=True,
                          help="total invertible count of the category")
         sub.add_argument("--adjoint-rank", type=int, required=True)
@@ -360,8 +356,10 @@ def _add_search_flags(sub, adjoint: bool) -> None:
     sub.add_argument("--fpdim-bound", type=int, metavar="B")
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "md"), default="md")
+def _add_common(sub, formats=()) -> None:
+    """--jobs and --out, and --format with the values the subcommand renders."""
+    if formats:
+        sub.add_argument("--format", choices=formats, default="md")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", metavar="PATH")
 
@@ -373,27 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "odd-dimensional modular tensor categories.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("dims", help="enumerate dimension arrays over all simples")
-    _add_search_flags(sub, adjoint=False)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_dims)
-
-    sub = subs.add_parser("adjoint-dims",
-                          help="enumerate dimension arrays of the adjoint layer")
-    _add_search_flags(sub, adjoint=True)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_adjoint_dims)
+    all_formats = ("json", "csv", "md")
+    for name, mode, text in (
+            ("dims", Mode.BASIC, "enumerate dimension arrays over all simples"),
+            ("adjoint-dims", Mode.ADJOINT, "enumerate dimension arrays of the adjoint layer")):
+        sub = subs.add_parser(name, help=text)
+        _add_search_flags(sub, mode)
+        _add_common(sub, all_formats)
+        sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("gradings", help="universal-grading case decompositions")
     sub.add_argument("--rank", type=int, required=True)
     sub.add_argument("--invertibles", type=int, required=True)
     sub.add_argument("--apply-filters", action="store_true")
-    _add_common(sub)
+    _add_common(sub, all_formats)
     sub.set_defaults(func=cmd_gradings)
 
     sub = subs.add_parser("classify", help="per-rank classification report")
     sub.add_argument("--rank", type=int, required=True)
-    _add_common(sub)
+    _add_common(sub, ("json", "md"))
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("verify-goldens", help="diff the search against stored tables")
@@ -402,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle-check",
                           help="cross-check the search against the bounded oracle")
-    _add_search_flags(sub, adjoint=False)
+    _add_search_flags(sub, Mode.BASIC)
     _add_common(sub)
-    sub.set_defaults(func=cmd_oracle_check)
+    sub.set_defaults(func=cmd_oracle_check, fpdim_bound=10 ** 6)
     return parser
 
 

@@ -179,11 +179,10 @@ def outside_dim_uniformity(solution, case) -> FilterVerdict:
     rank p, the p(p-1) objects outside the adjoint part share one dim
     d with fpdim = p^2 * d^2."""
     p = case.invertibles
-    mults = Counter(case.component_ranks)
-    odd = [r for r, c in mults.items() if c % 2 == 1]
+    odd = case.odd_multiplicity_ranks()
     non_adjoint_all_p = len(odd) == 1 and all(
         r == p for r in case.component_ranks if r != odd[0]
-    ) and mults[p] >= p - 1
+    ) and case.rank_multiplicities()[p] >= p - 1
     if not is_prime(p) or not non_adjoint_all_p:
         return FilterVerdict(Verdict.NOT_APPLICABLE, "outside-dim-uniformity", CITE_UNIFORMITY)
     q, r = divmod(solution.fpdim, p * p)

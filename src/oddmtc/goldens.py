@@ -17,7 +17,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .dimsearch import DimSolution, Mode, SearchParams, enumerate_solutions, validate_solution
+from .dimsearch import (DimSolution, Mode, RowDiff, SearchParams, diff_rows,
+                        enumerate_solutions, validate_solution)
 from .filters import fixed_dim_multiplicity_filter
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
@@ -39,17 +40,6 @@ class GoldenTable:
     @property
     def row_count(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class GoldenDiff:
-    table_id: str
-    missing: tuple[DimSolution, ...]  # in golden, not produced
-    extra: tuple[DimSolution, ...]    # produced, not in golden
-
-    @property
-    def empty(self) -> bool:
-        return not self.missing and not self.extra
 
 
 def _parse_factored(text: str) -> int:
@@ -149,12 +139,7 @@ def _apply_post_filter(table: GoldenTable, sols: list[DimSolution]) -> list[DimS
     return [s for s in sols if not fixed_dim_multiplicity_filter(s, p).discard]
 
 
-def verify(table: GoldenTable, jobs: int = 1) -> GoldenDiff:
-    """Re-run the search with the table's parameters and diff canonically."""
+def verify(table: GoldenTable, jobs: int = 1) -> RowDiff:
+    """Re-run the search with the table's parameters and diff against its rows."""
     produced = enumerate_solutions(table.params, jobs=jobs)
-    produced = _apply_post_filter(table, produced)
-    want = {(r.fpdim, r.dims): r for r in table.rows}
-    got = {(r.fpdim, r.dims): r for r in produced}
-    missing = tuple(r for key, r in sorted(want.items()) if key not in got)
-    extra = tuple(r for key, r in sorted(got.items()) if key not in want)
-    return GoldenDiff(table.table_id, missing, extra)
+    return diff_rows(table.rows, _apply_post_filter(table, produced))

@@ -9,6 +9,7 @@ out rank multisets outright.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactmath import factorize, is_prime, require
@@ -28,11 +29,8 @@ class GradingCase:
         require(list(ranks) == sorted(ranks, reverse=True), "component ranks descending")
         require(len({r % 8 for r in ranks}) == 1, "component ranks congruent mod 8")
 
-    def rank_multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.component_ranks:
-            out[r] = out.get(r, 0) + 1
-        return out
+    def rank_multiplicities(self) -> Counter[int]:
+        return Counter(self.component_ranks)
 
     def odd_multiplicity_ranks(self) -> list[int]:
         return [r for r, c in self.rank_multiplicities().items() if c % 2 == 1]

@@ -9,12 +9,11 @@ directly by divisor search; shares no code with the recursive engine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .dimsearch import DimSolution, Mode, SearchParams
-from .exactmath import is_prime_power
+from .dimsearch import DimSolution, RowDiff, SearchParams, diff_rows
+from .exactmath import is_prime_power, squarefree_split
 
 
 @lru_cache(maxsize=2)
@@ -76,7 +75,7 @@ def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params):
         return []
     half = target // 2  # sum of k squared dims
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part
-    root_part = parts[fpdim] if parts is not None else _square_part(fpdim)
+    root_part = parts[fpdim] if parts is not None else squarefree_split(fpdim)[0]
     divisors = [
         d
         for d in _odd_divisors_at_least(root_part, dim_floor)
@@ -87,37 +86,9 @@ def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params):
     return sols
 
 
-def _square_part(n: int) -> int:
-    a = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            a *= d ** (e // 2)
-        d += 1
-    return a
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    missing: tuple[DimSolution, ...]  # in oracle output, absent from search
-    extra: tuple[DimSolution, ...]  # in search output, absent from oracle
-
-    @property
-    def empty(self) -> bool:
-        return not self.missing and not self.extra
-
-
-def compare(search_out, oracle_out, fpdim_bound: int) -> DiffReport:
-    """Diff the bound-restricted search output against the oracle's."""
-    search_set = {(s.fpdim, s.dims): s for s in search_out if s.fpdim <= fpdim_bound}
-    oracle_set = {(s.fpdim, s.dims): s for s in oracle_out}
-    missing = tuple(v for k, v in sorted(oracle_set.items()) if k not in search_set)
-    extra = tuple(v for k, v in sorted(search_set.items()) if k not in oracle_set)
-    return DiffReport(missing, extra)
+def compare(search_out, oracle_out, fpdim_bound: int) -> RowDiff:
+    """Diff the bound-restricted search output against the oracle's rows."""
+    return diff_rows(oracle_out, [r for r in search_out if r.fpdim <= fpdim_bound])
 
 
 def _pick(divs, idx, need, budget, acc, sols, fpdim, s, params):

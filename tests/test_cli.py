@@ -279,17 +279,59 @@ class TestOracleCheck:
         assert code == 0
         assert "match" in out
 
+    def test_default_bound_reaches_search(self, capsys, monkeypatch):
+        bounds = []
+
+        def spy(params, jobs=1):
+            bounds.append(params.fpdim_bound)
+            return dimsearch.enumerate_solutions(params, jobs=jobs)
+
+        monkeypatch.setattr(cli, "enumerate_solutions", spy)
+        argv = ("oracle-check", "--rank", "33", "--invertibles", "1")
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv, "--fpdim-bound", "1000000")
+        assert default == (0, "match: 1 solutions with fpdim <= 1000000\n")
+        assert bounds == [10 ** 6, 10 ** 6]
+
+    @pytest.mark.parametrize("bound", ["0", "-7"])
+    def test_invalid_bound(self, capsys, bound):
+        code = cli.main(["oracle-check", "--rank", "17", "--invertibles", "1",
+                         "--fpdim-bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--rank", "27", "--invertibles", "3", "--format", "xml"],
+    ["adjoint-dims", "--rank", "45", "--gc", "3", "--adjoint-rank", "15",
+     "--adjoint-invertibles", "3", "--format", "xml"],
+    ["gradings", "--rank", "29", "--invertibles", "5", "--format", "xml"],
+    ["classify", "--rank", "25", "--format", "csv"],
+    ["verify-goldens", "--format", "md"],
+    ["verify-goldens", "--format", "json"],
+    ["oracle-check", "--rank", "17", "--invertibles", "1", "--format", "md"],
+    ["oracle-check", "--rank", "17", "--invertibles", "1", "--format", "csv"],
+])
+def test_format_not_rendered_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
 
 class TestVerifyGoldens:
     def test_reports_mismatch(self, capsys, monkeypatch):
         from oddmtc import goldens
 
         def fake_verify(table, jobs=1):
-            return goldens.GoldenDiff(table.table_id, table.rows[:1], ())
+            return dimsearch.RowDiff(table.rows[:1], ())
 
         monkeypatch.setattr(goldens, "verify", fake_verify)
         monkeypatch.setattr(cli.goldens, "verify", fake_verify)
         code, out = run(capsys, "verify-goldens")
         assert code == 1
         assert "MISMATCH" in out
+        assert "  missing " in out
         assert "0/8 tables match" in out

@@ -19,6 +19,7 @@ from oddmtc.dimsearch import (
     _finish,
     _min_run_ok,
     _square_divisor_roots,
+    diff_rows,
     enumerate_solutions,
     m1_candidates,
     validate_solution,
@@ -75,10 +76,11 @@ class TestSearchParams:
     def test_basic_derived(self):
         p = SearchParams(rank=25, invertibles=3)
         assert (p.layer_invertibles, p.group_order, p.k, p.perfect, p.t) == (3, 1, 11, False, 9)
+        assert p.dmin == 3
 
     def test_perfect_derived(self):
         p = SearchParams(rank=23, invertibles=1)
-        assert (p.k, p.perfect, p.t) == (11, True, 225)
+        assert (p.k, p.perfect, p.t, p.dmin) == (11, True, 225, 15)
 
     def test_adjoint_derived(self):
         p = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
@@ -264,6 +266,15 @@ class TestEnumerateSolutions:
     def test_fpdim_bound_restricts(self, rank25_solutions):
         capped = enumerate_solutions(SearchParams(rank=25, invertibles=3, fpdim_bound=10**5))
         assert [s for s in rank25_solutions if s.fpdim <= 10**5] == capped
+
+
+class TestDiffRows:
+    def test_missing_and_extra_in_key_order(self, rank25_solutions):
+        rows = rank25_solutions
+        diff = diff_rows(rows[2:], rows[:2] + rows[4:])
+        assert diff.missing == (rows[3], rows[2]) and diff.extra == (rows[1], rows[0])
+        assert not diff.empty
+        assert diff_rows(rows, list(reversed(rows))).empty
 
 
 class TestValidateSolution:

@@ -2,6 +2,7 @@ import pytest
 
 from oddmtc import oracle
 from oddmtc.dimsearch import Mode, SearchParams, enumerate_solutions, validate_solution
+from oddmtc.exactmath import squarefree_split
 
 
 def check_equivalence(params, bound):
@@ -43,6 +44,31 @@ class TestOracleEnumerate:
     def test_bound_below_invertibles_rejected(self):
         with pytest.raises(ValueError):
             oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3), 2)
+
+
+class TestUnsievedPath:
+    """Bounds above 2*10^6 skip the sieve (`parts is None`)."""
+
+    def test_sieve_matches_squarefree_split(self):
+        limit = 10 ** 4
+        parts = oracle._square_root_parts.__wrapped__(limit)  # leave the cache alone
+        assert all(parts[n] == squarefree_split(n)[0] for n in range(1, limit + 1))
+
+    @pytest.mark.parametrize("params, bound", [
+        (SearchParams(rank=25, invertibles=3), 10 ** 5),
+        (SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
+                      adjoint_rank=15, adjoint_invertibles=3), 10 ** 5),
+    ])
+    def test_solve_fpdim_without_sieve(self, params, bound):
+        parts = oracle._square_root_parts.__wrapped__(bound)
+        fpdims = sorted({r.fpdim for r in oracle.oracle_enumerate(params, bound)})
+        assert fpdims
+        args = (params.layer_invertibles, params.group_order, params.k,
+                params.perfect, 15 if params.perfect else 3)
+        for fpdim in fpdims:
+            sieved = oracle._solve_fpdim(fpdim, *args, parts, params)
+            unsieved = oracle._solve_fpdim(fpdim, *args, None, params)
+            assert sieved and unsieved == sieved
 
 
 class TestCompare:
