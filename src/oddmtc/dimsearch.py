@@ -16,17 +16,15 @@ odd positive integers with m_1 <= ... <= m_k.  Writing m_i = u_i^2 * w
 c_i relates the remaining dimension budget to u_i^2; all bounds are
 evaluated with exact rational arithmetic.
 
-Each m1 branch is one depth-first search over u-chains (`_Engine`) with a
-single child generator.  The min_run predicate rides along as a counter of
-the trailing run of equal u_i, which cuts and extends states structurally.
-The last level is closed in `_Engine.final_node` by a divisor scan confined
-to the window [lo, hi] of d_k that the final-level equation allows; the
-prime hint that factors its target is built only there.
-A search with fpdim_bound instead runs `_bounded_branch`, a second engine:
-an exact subset-sum over the divisors the bound allows.  It is kept because
-`_Engine` with a bound prune measured about 4.4x slower (13.2 s against 3.0 s
-over the 114 oracle-pinned (rank, s) pairs at bound 10^6); Criterion 9 and
-`tests/test_oracle.py` check it against the oracle.
+Every search, bounded or not, is one depth-first search over u-chains per
+m1 branch (`_Engine`) with a single child generator.  The min_run predicate
+rides along as a counter of the trailing run of equal u_i, which cuts and
+extends states structurally.  The last level is closed in
+`_Engine.final_node` by a divisor scan confined to the window [lo, hi] of
+d_k that the final-level equation allows; the prime hint that factors its
+target is built only there.  With fpdim_bound set, the same search adds
+exact prunes (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check
+the bounded search against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -81,8 +79,9 @@ class SearchParams:
         else:
             if self.adjoint_rank is None or self.adjoint_invertibles is None:
                 raise ValueError("adjoint mode needs adjoint_rank and adjoint_invertibles")
-            if self.adjoint_rank % 2 == 0 or self.adjoint_invertibles % 2 == 0:
-                raise ValueError("adjoint parameters must be odd")
+            if (self.adjoint_rank % 2 == 0 or self.adjoint_invertibles % 2 == 0
+                    or self.adjoint_invertibles < 1):
+                raise ValueError("adjoint parameters must be odd and positive")
             if self.adjoint_rank <= self.adjoint_invertibles:
                 raise ValueError("adjoint_rank must exceed adjoint_invertibles")
         if self.min_m1 < 1:
@@ -228,6 +227,9 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
     if dk < params.dmin or dk % 2 == 0:
         return None
     uk = us[-1]
+    fpdim = w * uk * uk * dk * dk
+    if params.fpdim_bound is not None and fpdim > params.fpdim_bound:
+        return None
     dims = []
     for u in us:
         q, r = divmod(dk * uk, u)
@@ -237,7 +239,6 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
     # every d_i = d_k * u_k / u_i >= d_k, so the d_k test above sets the floor
     if params.perfect and any(is_prime_power(d) for d in dims):
         return None
-    fpdim = w * uk * uk * dk * dk
     dims = tuple(dims)
     if params.min_run is not None and not _min_run_ok(dims, params.min_run):
         return None
@@ -308,6 +309,18 @@ class _Engine:
     when the run can no longer reach L, and has its run extended to L in
     one step (each level is c -> c - 2) once no fresh run fits in the
     levels left.
+
+    With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
+    level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
+    As every d_j >= dmin, c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2).  Hence, all
+    exactly:
+    * a state is cut when u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2;
+    * the child scan starts at the least u' with
+      u'^2*(A*Dmax^2 - B*u^2*X') >= 2*B*u^2*Dmax^2, X' = s + 2*(rem-1)*dmin^2,
+      yields nothing when that bracket is <= 0, and stops at Dmax // dmin;
+    * a child u' is skipped before it is built unless
+      lcm(path, u') <= Dmax, tested as u' // gcd(lcm, u') <= Dmax // lcm;
+    * `final_node` caps hi at Dmax // u, and `_finish` drops fpdim > bound.
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -319,6 +332,9 @@ class _Engine:
         self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0
         self.dmin = params.dmin
+        # D = d_i*u_i = sqrt(fpdim/w) is shared by every level
+        bound = params.fpdim_bound
+        self.Dmax = None if bound is None else math.isqrt(bound // w)
         # the prime hint of final_node holds the primes of these and of the path
         self.base = (self.s, params.group_order, w)
         self.out: list[DimSolution] = []
@@ -340,6 +356,8 @@ class _Engine:
             a //= g
             g = gcd(a, g)
         lo = max(self.dmin, math.isqrt(max(a - s, 0) // 2))
+        if self.Dmax is not None:
+            hi = min(hi, self.Dmax // u)  # d*u <= d*u_k = D
         if lo > hi:
             return
         hint = dict.fromkeys(chain.from_iterable(map(_prime_factors, self.base + path)))
@@ -369,34 +387,50 @@ class _Engine:
             if sol is not None:
                 self.out.append(sol)
 
-    def children(self, A: int, B: int, u: int, rem: int, lo: int):
+    def children(self, A: int, B: int, u: int, rem: int, lo: int, path):
         """Continuations (u', A', B') of state c = A/B at u with rem levels
         left: u itself first (c' = c - 2 > 0), then each u' > u with
         c' = A'/B' > lo - 2."""
         u2 = u * u
         # every level still to come needs c' <= s/t + 2*(rem - 1)
-        hi_num = (self.s + 2 * rem * self.t) * u2 * B
-        hi_den = self.t * A
-        if A > 2 * B and u2 * hi_den <= hi_num:
+        top = math.isqrt((self.s + 2 * rem * self.t) * u2 * B // (self.t * A))
+        first = max(u + 2, math.isqrt(lo * B * u2 // A) - 2) | 1
+        Dmax = self.Dmax
+        if Dmax is not None:
+            # c' >= (u'/Dmax)^2 * X' with X' = s + 2*(rem - 1)*dmin^2
+            D2 = Dmax * Dmax
+            bracket = A * D2 - B * u2 * (self.s + 2 * (rem - 1) * self.dmin ** 2)
+            if bracket <= 0:
+                return
+            least = -(-2 * B * u2 * D2 // bracket)  # u'^2 >= least
+            first = max(first, math.isqrt(least - 1) + 1) | 1
+            top = min(top, Dmax // self.dmin)
+        if A > 2 * B and u <= top:
             An = A - 2 * B
             g2 = gcd(An, B)
             yield u, An // g2, B // g2
-        up = max(u + 2, math.isqrt(lo * B * u2 // A) - 2)
-        if up % 2 == 0:
-            up += 1
+        ups = range(first, top + 1, 2)
+        if Dmax is not None:
+            # D is a multiple of lcm(path, u'), so that lcm is at most Dmax
+            lcm = math.lcm(*path)
+            cap = Dmax // lcm
+            ups = (up for up in ups if up // gcd(lcm, up) <= cap)
         floor = (lo - 2) * B * u2
-        while up * up * hi_den <= hi_num:
+        for up in ups:
             if not self.cop or up % self.cop:
                 An = A * up * up - 2 * B * u2
                 if An > floor:
                     Bn = B * u2
                     g2 = gcd(An, Bn)
                     yield up, An // g2, Bn // g2
-            up += 2
 
     def search(self, A0: int, B0: int, u1: int) -> None:
         k = self.k
         L = self.L
+        Dmax = self.Dmax
+        if Dmax is not None:
+            D2 = Dmax * Dmax
+            dmin2 = self.dmin ** 2
         stack = [(1, A0, B0, u1, (u1,), 1)]
         while stack:
             i, A, B, u, path, run = stack.pop()
@@ -413,6 +447,9 @@ class _Engine:
                     A, B = A // g2, B // g2
                     i, path, run = i + need, path + (u,) * need, L
             rem = k - i
+            # c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2), as every d_j >= dmin
+            if Dmax is not None and u * u * B * (self.s + 2 * rem * dmin2) > A * D2:
+                continue
             if rem == 0:
                 self.final_chain(A, B, path)
                 continue
@@ -422,90 +459,14 @@ class _Engine:
             # a value opened now must carry the run itself when no fresh
             # run fits after it, which needs c' > 2*(L - 1)
             lo = 2 * L if run < L and rem - 1 < L else 2
-            for up, An, Bn in self.children(A, B, u, rem, lo):
+            for up, An, Bn in self.children(A, B, u, rem, lo, path):
                 nrun = run if run == L else run + 1 if up == u else 1
                 stack.append((i + 1, An, Bn, up, path + (up,), nrun))
-
-
-def _divisors_between(n: int, lo: int, hi: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            for x in (d, n // d):
-                if lo <= x <= hi:
-                    out.append(x)
-    return sorted(set(out), reverse=True)
-
-
-def _bounded_branch(params: SearchParams, m1: int) -> list[DimSolution]:
-    """All solutions of one m1 branch with fpdim <= params.fpdim_bound.
-
-    A second engine beside `_Engine` (kept as the faster one, about 4.4x;
-    see the module docstring).  With the bound B in force,
-    fpdim = m1 * d1^2 <= B pins the largest dim to a short range, and every
-    other dim must divide u1 * d1 (the square part root of fpdim, since w is
-    squarefree).  So each (m1, d1) pair reduces to an exact subset-sum over
-    those divisors; no recursion over u-chains is needed.
-    """
-    bound = params.fpdim_bound
-    u1, w = squarefree_split(m1)
-    g = params.group_order
-    s = params.layer_invertibles
-    k = params.k
-    dmin = params.dmin
-    cop = params.mi_coprime or 0
-    out: list[DimSolution] = []
-    d1 = dmin
-    while m1 * d1 * d1 <= bound:
-        if params.perfect and is_prime_power(d1):
-            d1 += 2
-            continue
-        fpdim = m1 * d1 * d1
-        layer, r = divmod(fpdim, g)
-        if r == 0:
-            budget = (layer - s) // 2 - d1 * d1
-            divisors = [
-                d for d in _divisors_between(u1 * d1, dmin, d1)
-                if not (params.perfect and is_prime_power(d))
-                and not (cop and (w * (u1 * d1 // d) ** 2) % cop == 0)
-            ]
-            for rest in _fill_descending(divisors, 0, k - 1, budget):
-                dims = (d1,) + rest
-                if params.min_run is not None and not _min_run_ok(dims, params.min_run):
-                    continue
-                quotients = tuple(fpdim // (d * d) for d in dims)
-                out.append(DimSolution(fpdim, s, dims, quotients))
-        d1 += 2
-    return out
-
-
-def _fill_descending(divs, idx, need, budget):
-    """Nonincreasing tuples of `need` entries from divs[idx:] whose squared
-    sum is exactly `budget`."""
-    if need == 0:
-        if budget == 0:
-            yield ()
-        return
-    if idx == len(divs):
-        return
-    lo = divs[-1]
-    if budget < need * lo * lo:
-        return
-    d = divs[idx]
-    d2 = d * d
-    if budget > need * d2:
-        return
-    max_take = min(need, budget // d2)
-    for take in range(max_take, -1, -1):
-        for rest in _fill_descending(divs, idx + 1, need - take, budget - take * d2):
-            yield (d,) * take + rest
 
 
 def _search_branch(args) -> list[DimSolution]:
     """All solutions of one m1 branch."""
     params, m1 = args
-    if params.fpdim_bound is not None:
-        return _bounded_branch(params, m1)
     g = params.group_order
     A0, B0 = m1 - 2 * g, g
     if A0 <= 0:

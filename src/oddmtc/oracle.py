@@ -76,6 +76,9 @@ def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params):
     half = target // 2  # sum of k squared dims
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part
     root_part = parts[fpdim] if parts is not None else squarefree_split(fpdim)[0]
+    # _pick's own first cut: no d exceeds root_part
+    if k * root_part * root_part < half:
+        return []
     divisors = [
         d
         for d in _odd_divisors_at_least(root_part, dim_floor)

@@ -2,8 +2,10 @@
 behavior, oracle equivalence, and the randomized invariant suite, each with
 its runtime budget."""
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ from oddmtc.exactmath import factorize, isqrt_exact, squarefree_split
 from oddmtc.gradings import GradingCase, enumerate_cases, invertible_count_candidates
 
 from t1_reference import T1_ROWS
+
+# solution counts with fpdim <= 10^6 for every (rank, s), rank 17-49, s != rank
+ORACLE_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle_counts.json"
 
 
 def timed(budget_seconds):
@@ -182,6 +187,8 @@ class TestCriterion8FilterChain:
 class TestCriterion9OracleEquivalence:
     def test_sweep(self):
         bound = 10**6
+        pinned = json.loads(ORACLE_COUNTS.read_text("utf-8"))
+        swept = set()
         with timed(1800):
             for rank in range(17, 50, 2):
                 for s in invertible_count_candidates(rank):
@@ -192,6 +199,9 @@ class TestCriterion9OracleEquivalence:
                     reference = oracle.oracle_enumerate(params, bound)
                     diff = oracle.compare(search, reference, bound)
                     assert diff.empty, (rank, s, diff.missing[:3], diff.extra[:3])
+                    assert len(reference) == pinned[f"{rank},{s}"], (rank, s)
+                    swept.add(f"{rank},{s}")
+        assert swept == set(pinned)
 
 
 class TestCriterion10InvariantSuite:

@@ -119,6 +119,22 @@ CLASSIFY_DISCARD_CITATIONS = {
     (49, 41): [ADJ, DIV, MIN3],
 }
 
+# The abstract's three exact statements, each as (ranks, s excused) over the
+# graded cells 1 < s < rank: rank <= 23 is pointed; rank 25 is pointed,
+# perfect or the realized s = 3 model; ranks 27-49 not 1 (mod 8) are pointed
+# or perfect.  Every claimed cell should end DISCARDED.
+PAPER_CLAIMS = {
+    "rank <= 23 is pointed": (range(17, 24, 2), ()),
+    "rank 25 is pointed, perfect or the s = 3 model": ((25,), (3,)),
+    "ranks 27-49 not 1 mod 8 are pointed or perfect":
+        ([r for r in range(27, 50, 2) if r % 8 != 1], ()),
+}
+
+# Claimed cells that `classify` does not discard yet.  Closing one is a
+# reviewed removal here; a cell discarded today must never reopen.
+PAPER_OPEN_CELLS = {(17, 3), (25, 5), (27, 3), (35, 3), (35, 9), (37, 3),
+                    (43, 3), (43, 9), (45, 3), (47, 3)}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -265,6 +281,16 @@ class TestClassify:
                for rank, report in classify_reports.items()
                for h in report["hypotheses"] if h["status"] == "DISCARDED"}
         assert got == CLASSIFY_DISCARD_CITATIONS
+
+    def test_paper_claims_open_cells(self, classify_reports):
+        status = {(rank, h["invertibles"]): h["status"]
+                  for rank, report in classify_reports.items()
+                  for h in report["hypotheses"]}
+        excused = {rank: set(s) for ranks, s in PAPER_CLAIMS.values() for rank in ranks}
+        claimed = {(rank, s) for rank, s in status
+                   if rank in excused and 1 < s < rank and s not in excused[rank]}
+        assert {rank for rank, _ in claimed} == set(excused)
+        assert {cell for cell in claimed if status[cell] != D} == PAPER_OPEN_CELLS
 
     def test_rank_out_of_range(self, capsys):
         assert cli.main(["classify", "--rank", "15"]) == 2

@@ -108,15 +108,26 @@ class TestSearchParams:
             SearchParams(**kwargs)
 
     @given(rank=st.integers(-3, 60), invertibles=st.integers(-3, 60),
+           mode=st.sampled_from(Mode),
+           adjoint_rank=st.none() | st.integers(-3, 60),
+           adjoint_invertibles=st.none() | st.integers(-3, 60),
            min_m1=st.integers(-2, 30),
            min_run=st.none() | st.integers(-3, 8),
            mi_coprime=st.none() | st.integers(-3, 8),
            fpdim_bound=st.none() | st.integers(-5, 10**7))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_rejects_exactly_invalid_kwargs(self, **kwargs):
         rank, s = kwargs["rank"], kwargs["invertibles"]
+        ar, ai = kwargs["adjoint_rank"], kwargs["adjoint_invertibles"]
+        if kwargs["mode"] is Mode.BASIC:
+            # the adjoint kwargs are ignored
+            layer_invalid, k = rank <= s, (rank - s) // 2
+        else:
+            layer_invalid = (ar is None or ai is None or ai < 1
+                             or ar % 2 == 0 or ai % 2 == 0 or ar <= ai)
+            k = None if layer_invalid else (ar - ai) // 2
         invalid = (
-            rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or rank <= s
+            rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or layer_invalid
             or kwargs["min_m1"] < 1
             or (kwargs["min_run"] is not None and kwargs["min_run"] < 2)
             or (kwargs["mi_coprime"] is not None and kwargs["mi_coprime"] < 2)
@@ -126,7 +137,7 @@ class TestSearchParams:
             with pytest.raises(ValueError):
                 SearchParams(**kwargs)
         else:
-            assert SearchParams(**kwargs).k == (rank - s) // 2
+            assert SearchParams(**kwargs).k == k
 
 
 class TestM1Candidates:
@@ -263,9 +274,25 @@ class TestEnumerateSolutions:
         with pytest.raises(ValueError):
             enumerate_solutions(RANK27, jobs=jobs)
 
-    def test_fpdim_bound_restricts(self, rank25_solutions):
-        capped = enumerate_solutions(SearchParams(rank=25, invertibles=3, fpdim_bound=10**5))
-        assert [s for s in rank25_solutions if s.fpdim <= 10**5] == capped
+    @pytest.mark.parametrize("case", ["rank25", "rank27", "T2", "T4", "T6", "T7",
+                                      "T4-min_run3"])
+    def test_fpdim_bound_restricts(self, case, request, golden_tables):
+        """Every row's fpdim, and one below it, as the bound (rank 25: the rows
+        up to 10^5): the search gives exactly the unbounded rows under it."""
+        if case == "rank25":
+            p = SearchParams(rank=25, invertibles=3)
+        elif case == "rank27":
+            p = RANK27
+        elif case == "T4-min_run3":
+            p = replace(golden_tables["T4"].params, min_run=3)
+        else:
+            p = golden_tables[case].params
+        rows = ([r for r in request.getfixturevalue("rank25_solutions") if r.fpdim <= 10**5]
+                if case == "rank25" else enumerate_solutions(p))
+        assert rows
+        for bound in sorted({b for r in rows for b in (r.fpdim, r.fpdim - 1)}):
+            capped = enumerate_solutions(replace(p, fpdim_bound=bound))
+            assert capped == [r for r in rows if r.fpdim <= bound], bound
 
 
 class TestDiffRows:

@@ -71,6 +71,34 @@ class TestUnsievedPath:
             assert sieved and unsieved == sieved
 
 
+class TestSolveFpdimFirstCut:
+    """`_solve_fpdim` returns early when k * root_part^2 < half; `_pick` run
+    on the full divisor list must agree at every fpdim of the loop."""
+
+    @pytest.mark.parametrize("params, bound", [
+        (SearchParams(rank=25, invertibles=3), 10 ** 5),
+        (SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
+                      adjoint_rank=15, adjoint_invertibles=3), 10 ** 5),
+    ])
+    def test_equals_pick_on_full_divisors(self, params, bound):
+        s, g, k = params.layer_invertibles, params.group_order, params.k
+        floor = 15 if params.perfect else 3
+        parts = oracle._square_root_parts.__wrapped__(bound)
+        found = 0
+        for fpdim in range(params.rank % 8, bound + 1, 8):
+            want = []
+            layer, r = divmod(fpdim, g)
+            if not r and (layer - s) % 2 == 0:
+                divisors = [d for d in oracle._odd_divisors_at_least(
+                                squarefree_split(fpdim)[0], floor)
+                            if (fpdim // (d * d)) % 2 == 1]
+                oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, s, params)
+            got = oracle._solve_fpdim(fpdim, s, g, k, params.perfect, floor, parts, params)
+            assert got == want, fpdim
+            found += len(got)
+        assert found
+
+
 class TestCompare:
     def test_reports_differences(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**5)
