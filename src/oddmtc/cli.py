@@ -98,34 +98,10 @@ def cmd_dims(args, out) -> int:
 # --------------------------------------------------------------------------
 # gradings subcommand
 
-CITE_ADJOINT_CONTAINS = "rule:adjoint-component-contains-all-invertibles"
-
-
-def _filter_adjoint_containment(case: gradings.GradingCase) -> filters.FilterVerdict:
-    """Every invertible lies in the adjoint component, so that component's
-    rank must be at least the invertible count."""
-    odd = case.odd_multiplicity_ranks()
-    adjoint_rank = odd[0] if len(odd) == 1 else max(case.component_ranks)
-    if adjoint_rank < case.invertibles:
-        return filters.FilterVerdict(
-            filters.Verdict.DISCARD, "adjoint-containment", CITE_ADJOINT_CONTAINS,
-            detail=f"adjoint rank {adjoint_rank} < {case.invertibles} invertibles")
-    return filters.FilterVerdict(
-        filters.Verdict.PASS, "adjoint-containment", CITE_ADJOINT_CONTAINS)
-
-
-GRADING_FILTERS = (
-    gradings.filter_min_three_components,
-    gradings.filter_divisibility,
-    gradings.filter_odd_multiplicity,
-    _filter_adjoint_containment,
-)
-
-
 def _grade_case(case: gradings.GradingCase, apply_filters: bool) -> dict:
     record = {"case": list(case.component_ranks), "verdict": "LISTED", "citations": []}
     if apply_filters:
-        discards = [v for v in (f(case) for f in GRADING_FILTERS) if v.discard]
+        discards = [v for v in (f(case) for f in gradings.GRADING_FILTERS) if v.discard]
         record["verdict"] = "DISCARDED" if discards else "SURVIVING"
         record["citations"] = [v.citation for v in discards]
     return record

@@ -47,6 +47,7 @@ from .exactmath import (
     require,
     squarefree_split,
 )
+from .filters import p_batch_violation
 
 
 class Mode(enum.Enum):
@@ -73,10 +74,9 @@ class SearchParams:
             raise ValueError("rank must be odd and positive")
         if self.invertibles < 1 or self.invertibles % 2 == 0:
             raise ValueError("invertibles must be odd and positive")
-        if self.mode is Mode.BASIC:
-            if self.rank <= self.invertibles:
-                raise ValueError("rank must exceed invertibles (k >= 1)")
-        else:
+        if self.rank <= self.invertibles:
+            raise ValueError("rank must exceed invertibles")
+        if self.mode is Mode.ADJOINT:
             if self.adjoint_rank is None or self.adjoint_invertibles is None:
                 raise ValueError("adjoint mode needs adjoint_rank and adjoint_invertibles")
             if (self.adjoint_rank % 2 == 0 or self.adjoint_invertibles % 2 == 0
@@ -84,6 +84,8 @@ class SearchParams:
                 raise ValueError("adjoint parameters must be odd and positive")
             if self.adjoint_rank <= self.adjoint_invertibles:
                 raise ValueError("adjoint_rank must exceed adjoint_invertibles")
+            if self.adjoint_rank > self.rank:
+                raise ValueError("adjoint_rank must not exceed rank")
         if self.min_m1 < 1:
             raise ValueError("min_m1 must be positive")
         if self.mi_coprime is not None and self.mi_coprime < 2:
@@ -121,7 +123,7 @@ class SearchParams:
 
     @property
     def t(self) -> int:
-        return 225 if self.perfect else 9
+        return self.dmin ** 2
 
     @property
     def dmin(self) -> int:
@@ -209,17 +211,11 @@ def m1_candidates(params: SearchParams) -> list[int]:
 
 
 def _min_run_ok(dims: tuple[int, ...], length: int) -> bool:
-    """Compatibility with an order-L symmetry that moves at least one object.
-
-    Non-fixed dual pairs fall into groups of L equal dimensions, and fixed
-    ones must have dimension divisible by L.  So the array qualifies iff
-    some value occurs at least L times (the dims are sorted, so those are
-    consecutive) and every value not divisible by L occurs a multiple of
-    L times.
-    """
-    counts = Counter(dims)
-    return (max(counts.values()) >= length
-            and all(c % length == 0 for v, c in counts.items() if v % length))
+    """Compatibility with an order-L symmetry that moves at least one object:
+    some value occurs at least L times, and the p-batch rule holds for
+    p = L (non-fixed dual pairs come in groups of L equal dims, fixed ones
+    have dims divisible by L)."""
+    return max(Counter(dims).values()) >= length and p_batch_violation(dims, length) is None
 
 
 def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:

@@ -35,18 +35,6 @@ class Factorization:
                 "primes strictly increasing")
         require(all(e >= 1 for _, e in self.factors), "exponents positive")
 
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
-
 
 def isqrt_exact(n: int) -> tuple[int, bool]:
     """Return (floor(sqrt(n)), whether n is a perfect square)."""

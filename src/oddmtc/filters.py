@@ -5,6 +5,11 @@ arrays, applied per solution or per (solution, grading case) pair.
 All dimension multisets below follow the dual-pair convention of
 DimSolution: one entry per dual pair, so the full simple-object multiset
 doubles each entry and adds the invertibles as dim 1.
+
+The p-batch rule (non-fixed dual pairs of a value come in batches of p)
+lives in `p_batch_violation` alone; `fixed_dim_multiplicity_filter`, the
+quotient rule `deequiv_solution_filter` and the search's min_run predicate
+all read it from there.
 """
 
 from __future__ import annotations
@@ -47,32 +52,6 @@ class FilterVerdict:
         return self.verdict is Verdict.DISCARD
 
 
-@dataclass(frozen=True)
-class DeequivProfile:
-    """Outcome of quotienting a layer by a cyclic group of odd prime order p
-    under one fixed/non-fixed assignment of its simple objects.
-
-    Fixed objects of dim d split into p objects of dim d/p; non-fixed
-    objects form orbits of size p, each orbit contributing one object of
-    dim d.  Multisets count both duals (they are NOT dual-pair lists).
-    """
-
-    prime: int
-    fixed_dims: tuple[int, ...]
-    nonfixed_orbit_dims: tuple[int, ...]
-    invertible_count: int
-    deequiv_fpdim: int
-    result_dims: tuple[int, ...]
-    result_rank: int
-
-    def __post_init__(self):
-        p = self.prime
-        require(all(d % p == 0 for d in self.fixed_dims), "fixed dims divisible by p")
-        require(len(self.nonfixed_orbit_dims) % 2 == 0, "orbit dims come in dual pairs")
-        require(self.invertible_count == 1 + p * sum(1 for d in self.fixed_dims if d == p),
-                "invertible count of the quotient")
-
-
 def full_multiset(dims, invertibles: int) -> list[int]:
     out = [1] * invertibles
     for d in dims:
@@ -80,95 +59,61 @@ def full_multiset(dims, invertibles: int) -> list[int]:
     return sorted(out, reverse=True)
 
 
+def p_batch_violation(dims, p: int) -> tuple[int, int] | None:
+    """The p-batch rule: under an order-p symmetry, the non-fixed dual pairs
+    of each dim value come in batches of p, and a fixed pair's dim is
+    divisible by p.  So every pair of a value p does not divide is
+    non-fixed, and their count is a multiple of p.
+
+    Returns the smallest value of the dual-pair list `dims` that p does not
+    divide and whose pair count is not a multiple of p, with that count;
+    None when there is no such value.
+    """
+    return min(((v, c) for v, c in Counter(dims).items() if v % p and c % p), default=None)
+
+
 def fixed_dim_multiplicity_filter(solution, p: int) -> FilterVerdict:
     """Each dim value not divisible by p must occur a multiple of 2p times
-    in the full simple-object multiset."""
-    counts = Counter(d for d in solution.dims for _ in range(2))
-    for value, mult in sorted(counts.items()):
-        if mult % (2 * p) != 0 and value % p != 0:
-            return FilterVerdict(
-                Verdict.DISCARD,
-                "fixed-dim-multiplicity",
-                CITE_FIXED_DIM,
-                detail=f"dim {value} occurs {mult} times; not 0 mod {2 * p} and {p} does not divide it",
-            )
-    return FilterVerdict(Verdict.PASS, "fixed-dim-multiplicity", CITE_FIXED_DIM)
-
-
-def deequiv_profiles(adjoint_dims, p: int, adjoint_fpdim: int) -> list[DeequivProfile]:
-    """All fixed/non-fixed assignments of the adjoint layer's dual pairs.
-
-    `adjoint_dims` is the dual-pair list of the layer's non-invertible
-    dims.  Per dim value, the non-fixed object count must be a multiple of
-    2p, i.e. the non-fixed pair count a multiple of p; values not
-    divisible by p are forced entirely non-fixed.
-    """
-    if adjoint_fpdim % p != 0:
-        raise ValueError("p must divide the layer fpdim")
-    counts = Counter(adjoint_dims)
-    per_value_choices = []
-    for value, pairs in sorted(counts.items()):
-        if value % p != 0:
-            if (2 * pairs) % (2 * p) != 0:
-                return []  # no consistent assignment at all
-            choices = [(value, pairs)]
-        else:
-            choices = [(value, nf) for nf in range(0, pairs + 1, p)]
-        per_value_choices.append(choices)
-
-    profiles = []
-    for combo in itertools.product(*per_value_choices):
-        fixed = []
-        orbits = []
-        for value, nf in combo:
-            pairs = counts[value]
-            fixed.extend([value] * (2 * (pairs - nf)))
-            orbits.extend([value] * (2 * nf // p))
-        invertible_count = 1 + p * sum(1 for d in fixed if d == p)
-        result = sorted(
-            [d // p for d in fixed for _ in range(p) if d // p > 1] + orbits, reverse=True
-        )
-        result_rank = invertible_count + len(result)
-        profiles.append(
-            DeequivProfile(
-                prime=p,
-                fixed_dims=tuple(sorted(fixed, reverse=True)),
-                nonfixed_orbit_dims=tuple(sorted(orbits, reverse=True)),
-                invertible_count=invertible_count,
-                deequiv_fpdim=adjoint_fpdim // p,
-                result_dims=tuple(result),
-                result_rank=result_rank,
-            )
-        )
-    return profiles
-
-
-def deequiv_consistency_filter(profile: DeequivProfile) -> FilterVerdict:
-    """The quotient's invertible count must divide its fpdim, and every
-    result dim d must have fpdim/d^2 a positive integer."""
-    if profile.deequiv_fpdim % profile.invertible_count != 0:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "deequiv-invertible-count",
-            CITE_DEEQUIV,
-            detail=f"{profile.invertible_count} does not divide {profile.deequiv_fpdim}",
-        )
-    for d in set(profile.result_dims):
-        if d > 1 and profile.deequiv_fpdim % (d * d) != 0:
-            return FilterVerdict(
-                Verdict.DISCARD,
-                "deequiv-dim-square",
-                CITE_DEEQUIV,
-                detail=f"result dim {d}: {d}^2 does not divide {profile.deequiv_fpdim}",
-            )
-    return FilterVerdict(Verdict.PASS, "deequiv", CITE_DEEQUIV)
+    in the full simple-object multiset (`p_batch_violation`)."""
+    bad = p_batch_violation(solution.dims, p)
+    if bad is None:
+        return FilterVerdict(Verdict.PASS, "fixed-dim-multiplicity", CITE_FIXED_DIM)
+    value, pairs = bad
+    return FilterVerdict(
+        Verdict.DISCARD,
+        "fixed-dim-multiplicity",
+        CITE_FIXED_DIM,
+        detail=f"dim {value} occurs {2 * pairs} times; not 0 mod {2 * p} and {p} does not divide it",
+    )
 
 
 def deequiv_solution_filter(adjoint_dims, p: int, adjoint_fpdim: int) -> FilterVerdict:
-    """A solution is discarded by the quotient argument iff every profile is."""
-    profiles = deequiv_profiles(adjoint_dims, p, adjoint_fpdim)
-    if any(not deequiv_consistency_filter(pr).discard for pr in profiles):
-        return FilterVerdict(Verdict.PASS, "deequiv", CITE_DEEQUIV)
+    """Quotient of a layer by a cyclic group of odd prime order p.
+
+    `adjoint_dims` is the dual-pair list of the layer's non-invertible dims.
+    An assignment picks the non-fixed pair count of each value: a multiple
+    of p when p divides the value, all pairs otherwise (`p_batch_violation`).
+    A fixed object of dim v splits into p objects of dim v/p, and each
+    orbit of p non-fixed objects of dim v gives one object of dim v.  So the
+    quotient, of fpdim q = adjoint_fpdim/p, has 1 + 2p*(fixed pairs of dim p)
+    invertibles, which must divide q, and d^2 must divide q for every result
+    dim d: v/p for each value with a fixed pair (1 when v = p), and v for
+    each value with a non-fixed pair.  The solution is discarded iff no
+    assignment passes.
+    """
+    if adjoint_fpdim % p != 0:
+        raise ValueError("p must divide the layer fpdim")
+    q = adjoint_fpdim // p
+    counts = Counter(adjoint_dims).items()
+    if p_batch_violation(adjoint_dims, p) is None:
+        choices = [range(0, pairs + 1, p) if v % p == 0 else (pairs,) for v, pairs in counts]
+        for nonfixed in itertools.product(*choices):
+            chosen = list(zip(counts, nonfixed))
+            fixed_p = sum(pairs - nf for (v, pairs), nf in chosen if v == p)
+            dims = [v // p for (v, pairs), nf in chosen if nf < pairs]
+            dims += [v for (v, _), nf in chosen if nf]
+            if q % (1 + 2 * p * fixed_p) == 0 and all(q % (d * d) == 0 for d in dims):
+                return FilterVerdict(Verdict.PASS, "deequiv", CITE_DEEQUIV)
     return FilterVerdict(
         Verdict.DISCARD, "deequiv", CITE_DEEQUIV, detail="every fixed/non-fixed assignment fails"
     )

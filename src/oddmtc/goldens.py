@@ -33,7 +33,6 @@ class GoldenTable:
     table_id: str
     params: SearchParams
     rows: tuple[DimSolution, ...]
-    provenance: str
     fpdim_factored: tuple[str, ...]
     post_filter: str | None = None
 
@@ -110,7 +109,6 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
         table_id=table_id,
         params=params,
         rows=tuple(rows),
-        provenance=entry["provenance"],
         fpdim_factored=factored,
         post_filter=entry.get("post_filter"),
     )

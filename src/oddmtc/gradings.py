@@ -143,6 +143,30 @@ def filter_odd_multiplicity(case: GradingCase) -> FilterVerdict:
     return FilterVerdict(Verdict.PASS, "odd-multiplicity", CITE_ODD_MULT)
 
 
+def filter_adjoint_containment(case: GradingCase) -> FilterVerdict:
+    """Every invertible lies in the adjoint component, so that component's
+    rank must be at least the invertible count."""
+    odd = case.odd_multiplicity_ranks()
+    adjoint_rank = odd[0] if len(odd) == 1 else max(case.component_ranks)
+    if adjoint_rank < case.invertibles:
+        return FilterVerdict(
+            Verdict.DISCARD,
+            "adjoint-containment",
+            CITE_ADJOINT_CONTAINS,
+            detail=f"adjoint rank {adjoint_rank} < {case.invertibles} invertibles",
+        )
+    return FilterVerdict(Verdict.PASS, "adjoint-containment", CITE_ADJOINT_CONTAINS)
+
+
+#: Every grading-case discard rule, in report order.
+GRADING_FILTERS = (
+    filter_min_three_components,
+    filter_divisibility,
+    filter_odd_multiplicity,
+    filter_adjoint_containment,
+)
+
 CITE_MIN_THREE = "rule:pointed-part-needs-three-large-components"
 CITE_DIVISIBILITY = "rule:non-adjoint-component-ranks-divisible-by-p"
 CITE_ODD_MULT = "rule:unique-odd-multiplicity-component-rank"
+CITE_ADJOINT_CONTAINS = "rule:adjoint-component-contains-all-invertibles"

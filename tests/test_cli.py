@@ -10,7 +10,7 @@ from oddmtc import cli, dimsearch, gradings
 # analysis, S surviving (pointed), A analyzed by a per-solution chain.
 D, N, S, A = "DISCARDED", "NEEDS_MANUAL_ANALYSIS", "SURVIVING", "ANALYZED"
 EMPTY = cli.CITE_EMPTY_SEARCH
-ADJ = cli.CITE_ADJOINT_CONTAINS
+ADJ = gradings.CITE_ADJOINT_CONTAINS
 DIV = gradings.CITE_DIVISIBILITY
 MIN3 = gradings.CITE_MIN_THREE
 ODD = gradings.CITE_ODD_MULT
@@ -230,6 +230,14 @@ class TestAdjointDims:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[0] for r in rows[1:]] == ["2925", "333"]
+
+    def test_adjoint_rank_exceeds_rank(self, capsys):
+        code = cli.main(["adjoint-dims", "--rank", "5", "--gc", "5",
+                         "--adjoint-rank", "15", "--adjoint-invertibles", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestGradings:

@@ -102,6 +102,10 @@ class TestSearchParams:
         dict(rank=25, invertibles=3, mi_coprime=0),
         dict(rank=25, invertibles=3, fpdim_bound=0),
         dict(rank=25, invertibles=3, fpdim_bound=-5),
+        dict(rank=5, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=15,
+             adjoint_invertibles=3),
+        dict(rank=5, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=5,
+             adjoint_invertibles=3),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -121,13 +125,13 @@ class TestSearchParams:
         ar, ai = kwargs["adjoint_rank"], kwargs["adjoint_invertibles"]
         if kwargs["mode"] is Mode.BASIC:
             # the adjoint kwargs are ignored
-            layer_invalid, k = rank <= s, (rank - s) // 2
+            layer_invalid, k = False, (rank - s) // 2
         else:
             layer_invalid = (ar is None or ai is None or ai < 1
-                             or ar % 2 == 0 or ai % 2 == 0 or ar <= ai)
+                             or ar % 2 == 0 or ai % 2 == 0 or ar <= ai or ar > rank)
             k = None if layer_invalid else (ar - ai) // 2
         invalid = (
-            rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or layer_invalid
+            rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or rank <= s or layer_invalid
             or kwargs["min_m1"] < 1
             or (kwargs["min_run"] is not None and kwargs["min_run"] < 2)
             or (kwargs["mi_coprime"] is not None and kwargs["mi_coprime"] < 2)

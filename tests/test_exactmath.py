@@ -46,10 +46,7 @@ class TestFactorize:
         assert factorize(1).factors == ()
         assert factorize(441).factors == ((3, 2), (7, 2))
         assert factorize(5625).factors == ((3, 2), (5, 4))
-
-    def test_str(self):
-        assert str(factorize(1)) == "1"
-        assert str(factorize(99225)) == "3^4*5^2*7^2"
+        assert factorize(99225).factors == ((3, 4), (5, 2), (7, 2))
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -58,7 +55,7 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**9))
     def test_roundtrip(self, n):
         fac = factorize(n)
-        assert fac.value == n
+        assert math.prod(p**e for p, e in fac.factors) == n
         for p, _ in fac.factors:
             assert is_prime(p)
 
@@ -69,14 +66,13 @@ class TestFactorize:
     def test_value_invariants_enforced_under_optimize(self):
         code = (
             "from oddmtc.exactmath import Factorization, InvariantError\n"
-            "from oddmtc.filters import DeequivProfile, FilterVerdict, Verdict\n"
+            "from oddmtc.filters import FilterVerdict, Verdict\n"
             "from oddmtc.gradings import GradingCase\n"
             "assert False, 'assert statements are live'\n"
             "broken = [\n"
             "    lambda: Factorization(((5, 1), (3, 1))),\n"
             "    lambda: GradingCase((3, 3, 1), 7, 3),\n"
             "    lambda: FilterVerdict(Verdict.DISCARD, '', ''),\n"
-            "    lambda: DeequivProfile(3, (5,), (), 1, 1, (), 1),\n"
             "]\n"
             "for make in broken:\n"
             "    try:\n"
@@ -90,7 +86,7 @@ class TestFactorize:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "rejected\n" * 4
+        assert proc.stdout == "rejected\n" * 3
 
 
 class TestSquarefreeSplit:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,12 @@ def t1_solution(row_number: int) -> DimSolution:
 
 class TestFixedDimMultiplicity:
     def test_discards(self):
-        # dim 19 appears twice in the full multiset; 2 % 6 != 0 and 3 does not divide 19
+        # dims 475, 19 and 5 each appear twice in the full multiset; 2 % 6 != 0
+        # and 3 divides none of them; the detail names the smallest
         sol = t1_solution(1)
         verdict = filters.fixed_dim_multiplicity_filter(sol, 3)
         assert verdict.discard and verdict.citation == filters.CITE_FIXED_DIM
+        assert verdict.detail == "dim 5 occurs 2 times; not 0 mod 6 and 3 does not divide it"
 
     def test_passes(self):
         assert not filters.fixed_dim_multiplicity_filter(t1_solution(34), 3).discard
@@ -33,28 +37,63 @@ class TestFixedDimMultiplicity:
         assert not filters.fixed_dim_multiplicity_filter(sol, 3).discard
 
 
+def deequiv_reference(dims, p, fpdim) -> bool:
+    """Brute force: try every non-fixed pair count 0..pairs per dim value,
+    keep the counts the p-batch rule allows, build the quotient's objects
+    and test its divisibility conditions."""
+    q = fpdim // p
+    counts = sorted(Counter(dims).items())
+    for nonfixed in itertools.product(*(range(pairs + 1) for _, pairs in counts)):
+        chosen = list(zip(counts, nonfixed))
+        if any(nf % p or (nf < pairs and v % p) for (v, pairs), nf in chosen):
+            continue
+        objects = []  # the quotient's non-unit simple objects, both duals
+        for (v, pairs), nf in chosen:
+            objects += [v // p] * (2 * (pairs - nf) * p)  # each fixed object splits in p
+            objects += [v] * (2 * nf // p)                 # one object per orbit
+        if q % (1 + objects.count(1)) == 0 and all(q % (d * d) == 0 for d in objects):
+            return True
+    return False
+
+
 class TestDeequiv:
-    def test_profiles_forced_nonfixed(self):
-        # dims not divisible by p must be fully non-fixed
-        profiles = filters.deequiv_profiles((7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3), 3, 441)
-        assert profiles
-        for pr in profiles:
-            assert 7 not in pr.fixed_dims
-            assert pr.deequiv_fpdim == 147
+    def test_bad_multiplicity_discards(self):
+        # two dual pairs of dim 5 cannot form 3-orbits, and 3 does not divide 5;
+        # ignoring that, the orbit dim 5 would pass (25 divides 75 / 3)
+        verdict = filters.deequiv_solution_filter((5, 5), 3, 75)
+        assert verdict.discard and verdict.citation == filters.CITE_DEEQUIV
+        assert verdict.detail == "every fixed/non-fixed assignment fails"
 
-    def test_profiles_reject_bad_multiplicity(self):
-        # one dual pair of dim 5: two objects, not a multiple of 2p
-        assert filters.deequiv_profiles((5,), 3, 51) == []
+    def test_forced_nonfixed_dims_square_divide(self):
+        # dim 7 is not divisible by 3, so all its pairs are non-fixed: 7^2 | q
+        assert not filters.deequiv_solution_filter((7, 7, 7), 3, 3 * 49).discard
+        assert filters.deequiv_solution_filter((7, 7, 7), 3, 3 * 63).discard
 
-    def test_profile_bookkeeping(self):
-        profiles = filters.deequiv_profiles((3, 3, 3), 3, 19 * 3)
-        assert len(profiles) == 2  # zero or three non-fixed pairs
-        for pr in profiles:
-            assert len(pr.fixed_dims) + 3 * len(pr.nonfixed_orbit_dims) == 6
+    def test_two_assignments(self):
+        # three pairs of dim 3: all fixed (1 + 2*3*3 = 19 invertibles must
+        # divide q) or all non-fixed (one orbit dim 3, so 9 must divide q)
+        dims = (3, 3, 3)
+        assert not filters.deequiv_solution_filter(dims, 3, 3 * 19).discard
+        assert not filters.deequiv_solution_filter(dims, 3, 3 * 9).discard
+        assert filters.deequiv_solution_filter(dims, 3, 3 * 5).discard
 
     def test_solution_filter_requires_divisibility(self):
         with pytest.raises(ValueError):
-            filters.deequiv_profiles((3, 3), 3, 25)
+            filters.deequiv_solution_filter((3, 3), 3, 25)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_against_bruteforce(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        values = data.draw(st.lists(st.sampled_from([3, 5, 7, 9, 15, 21, 25, 45]),
+                                    min_size=1, max_size=3, unique=True))
+        # mostly whole p-batches of pairs, sometimes one pair more
+        dims = [v for v in values
+                for _ in range(data.draw(st.sampled_from([0, p, 2 * p, 1, p + 1])))]
+        fpdim = p * math.prod(data.draw(st.lists(
+            st.sampled_from([3, 5, 7, 9, 11, 13, 19, 25, 31, 49]), max_size=5)))
+        want = deequiv_reference(dims, p, fpdim)
+        assert filters.deequiv_solution_filter(dims, p, fpdim).discard == (not want)
 
 
 class TestChainOnTable1:
