@@ -46,7 +46,11 @@ class TestFactorize:
         assert factorize(1).factors == ()
         assert factorize(441).factors == ((3, 2), (7, 2))
         assert factorize(5625).factors == ((3, 2), (5, 4))
+
+    def test_factor_pairs(self):
+        assert factorize(1).factors == ()
         assert factorize(99225).factors == ((3, 4), (5, 2), (7, 2))
+        assert math.prod(p**e for p, e in factorize(99225).factors) == 99225
 
     def test_invalid(self):
         with pytest.raises(ValueError):
