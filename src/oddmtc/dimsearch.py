@@ -19,10 +19,13 @@ evaluated with exact rational arithmetic.
 Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
 rides along as a counter of the trailing run of equal u_i, which cuts and
-extends states structurally.  The last level is closed in
-`_Engine.final_node` by a divisor scan confined to the window [lo, hi] of
-d_k that the final-level equation allows; the prime hint that factors its
-target is built only there.  With fpdim_bound set, the same search adds
+extends states structurally; a new value that must fill all remaining
+levels is tested in the child scan itself, without a pushed state.  The
+last level is closed in `_Engine.final_node` by a divisor scan confined to
+the window [lo, hi] of d_k that the final-level equation allows; the prime
+hint that factors its target is built only there, and under min_run = L
+the p-batch rule can confine d_k to multiples of L before anything is
+factored.  With fpdim_bound set, the same search adds
 exact prunes (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check
 the bounded search against the brute-force oracle.
 """
@@ -263,9 +266,9 @@ def _factor_with_hint(n: int, primes) -> list[tuple[int, int]]:
     return fac
 
 
-def _square_divisor_roots(fac: list[tuple[int, int]], hi: int) -> list[int]:
-    """All d <= hi with d^2 dividing the factored number, ascending."""
-    roots = [1] if hi >= 1 else []
+def _square_divisor_roots(fac: list[tuple[int, int]], hi: int, start: int = 1) -> list[int]:
+    """All d = start*e <= hi with e^2 dividing the factored number, ascending."""
+    roots = [start] if hi >= start else []
     for p, e in fac:
         grown = []
         q = p
@@ -304,7 +307,16 @@ class _Engine:
     unset, so every state is already free.  A state with run < L is cut
     when the run can no longer reach L, and has its run extended to L in
     one step (each level is c -> c - 2) once no fresh run fits in the
-    levels left.
+    levels left.  At rem = L with run < L, a child u' > u must fill all L
+    levels, so d_k^2 = s*B'/(A' - 2(L-1)*B') is tested in the child scan
+    and `final_chain` runs only on a hit; only the child u itself is pushed.
+
+    `final_node` runs with run = L.  With r the count of u in the path,
+    d_k's value occurs once (u_k > u) or r + 1 times (u_k = u).  When
+    r + 1 is not a multiple of L, neither count is, so the p-batch rule of
+    `_min_run_ok` needs L | d_k: the state returns at once unless
+    L^2 | s*B*u^2, and only the roots d = L*e, e^2 | s*B*u^2/L^2, are built.
+    L = 1 leaves both steps inert.
 
     With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
     level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
@@ -356,8 +368,16 @@ class _Engine:
             hi = min(hi, self.Dmax // u)  # d*u <= d*u_k = D
         if lo > hi:
             return
+        # unless r + 1 = 0 mod L (r = count of u in the path), the p-batch
+        # rule needs L | d_k, so d_k = L*e with e^2 | target/L^2 (see above)
+        start, rest = 1, target
+        if (path.count(u) + 1) % self.L:
+            start = self.L
+            rest, r = divmod(target, start * start)
+            if r:
+                return
         hint = dict.fromkeys(chain.from_iterable(map(_prime_factors, self.base + path)))
-        roots = _square_divisor_roots(_factor_with_hint(target, hint), hi)
+        roots = _square_divisor_roots(_factor_with_hint(rest, hint), hi, start)
         for d in roots[bisect_left(roots, lo):]:
             if (s + 2 * d * d) % a:
                 continue
@@ -386,7 +406,7 @@ class _Engine:
     def children(self, A: int, B: int, u: int, rem: int, lo: int, path):
         """Continuations (u', A', B') of state c = A/B at u with rem levels
         left: u itself first (c' = c - 2 > 0), then each u' > u with
-        c' = A'/B' > lo - 2."""
+        c' = A'/B' > lo - 2.  A'/B' is not reduced."""
         u2 = u * u
         # every level still to come needs c' <= s/t + 2*(rem - 1)
         top = math.isqrt((self.s + 2 * rem * self.t) * u2 * B // (self.t * A))
@@ -402,9 +422,7 @@ class _Engine:
             first = max(first, math.isqrt(least - 1) + 1) | 1
             top = min(top, Dmax // self.dmin)
         if A > 2 * B and u <= top:
-            An = A - 2 * B
-            g2 = gcd(An, B)
-            yield u, An // g2, B // g2
+            yield u, A - 2 * B, B
         ups = range(first, top + 1, 2)
         if Dmax is not None:
             # D is a multiple of lcm(path, u'), so that lcm is at most Dmax
@@ -416,9 +434,7 @@ class _Engine:
             if not self.cop or up % self.cop:
                 An = A * up * up - 2 * B * u2
                 if An > floor:
-                    Bn = B * u2
-                    g2 = gcd(An, Bn)
-                    yield up, An // g2, Bn // g2
+                    yield up, An, B * u2
 
     def search(self, A0: int, B0: int, u1: int) -> None:
         k = self.k
@@ -454,10 +470,18 @@ class _Engine:
                 continue
             # a value opened now must carry the run itself when no fresh
             # run fits after it, which needs c' > 2*(L - 1)
-            lo = 2 * L if run < L and rem - 1 < L else 2
+            tail = run < L and rem == L
+            lo = 2 * L if tail else 2
             for up, An, Bn in self.children(A, B, u, rem, lo, path):
+                if tail and up != u:
+                    # u' fills all L levels left: d_k^2 = s*B'/(A' - 2(L-1)*B')
+                    An -= 2 * (L - 1) * Bn
+                    if self.s * Bn % An == 0:
+                        self.final_chain(An, Bn, path + (up,) * L)
+                    continue
                 nrun = run if run == L else run + 1 if up == u else 1
-                stack.append((i + 1, An, Bn, up, path + (up,), nrun))
+                g2 = gcd(An, Bn)
+                stack.append((i + 1, An // g2, Bn // g2, up, path + (up,), nrun))
 
 
 def _search_branch(args) -> list[DimSolution]:

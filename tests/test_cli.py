@@ -241,6 +241,14 @@ class TestAdjointDims:
 
 
 class TestGradings:
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code = cli.main(["gradings", "--rank", "25", "--invertibles", "3",
+                         "--out", str(tmp_path / "missing" / "x.md")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_listing(self, capsys):
         code, out = run(capsys, "gradings", "--rank", "29", "--invertibles", "5",
                         "--format", "json")

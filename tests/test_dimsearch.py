@@ -213,9 +213,16 @@ class TestSquareDivisorRoots:
 
 
 class TestFinalNode:
-    @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7"])
+    # with min_run = L, final_node confines d_k to multiples of L unless
+    # r + 1 = 0 mod L; the reference factors target whole and filters in _finish
+    @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7",
+                                       "T7-min_run2", "T7-min_run3", "T7-min_run4",
+                                       "T7-min_run5", "T4-min_run3"])
     def test_matches_unbounded_scan(self, table, golden_tables, monkeypatch):
+        table, _, run = table.partition("-min_run")
         p = RANK27 if table == "rank27" else golden_tables[table].params
+        if run:
+            p = replace(p, min_run=int(run))
         bounded = _Engine.final_node
         calls = emitted = 0
 

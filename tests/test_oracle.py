@@ -33,8 +33,19 @@ class TestOracleEnumerate:
         params = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
                               adjoint_rank=29, adjoint_invertibles=5,
                               min_m1=25, m1_square=True, min_run=5,
-                              fpdim_bound=10**5)
-        check_equivalence(params, 10**5)
+                              fpdim_bound=10**6)
+        # one of these rows, above 10^5, ends in a forced min-run tail
+        assert len(check_equivalence(params, 10**6)) == 13
+
+    def test_matches_search_min_run_tail(self):
+        """The min-run tail and final_node's L | d_k start, with the bound on."""
+        total = 0
+        for rank, s in [(25, 3), (27, 3), (33, 3), (35, 5), (41, 5)]:
+            for run in range(2, 6):
+                params = SearchParams(rank=rank, invertibles=s, min_run=run,
+                                      fpdim_bound=10**5)
+                total += len(check_equivalence(params, 10**5))
+        assert total == 60
 
     def test_rows_validate(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**6)
