@@ -21,11 +21,10 @@ m1 branch (`_Engine`) with a single child generator.  The min_run predicate
 rides along as a counter of the trailing run of equal u_i, which cuts and
 extends states structurally; a new value that must fill all remaining
 levels is tested in the child scan itself, without a pushed state.  The
-last level is closed in `_Engine.final_node` by a divisor scan confined to
-the window [lo, hi] of d_k that the final-level equation allows; the prime
-hint that factors its target is built only there, and under min_run = L
-the p-batch rule can confine d_k to multiples of L before anything is
-factored.  With fpdim_bound set, the same search adds
+last level is closed in `_Engine.final_node` by a scan of the odd u_k that
+the window [lo, hi] of d_k allows; nothing is factored there, and under
+min_run = L the p-batch rule rejects a state whose target is not a
+multiple of L^2.  With fpdim_bound set, the same search adds
 exact prunes (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check
 the bounded search against the brute-force oracle.
 """
@@ -34,17 +33,13 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain
 from math import gcd
 from multiprocessing import Pool
 
 from .exactmath import (
     InvariantError,
-    factorize,
     is_prime_power,
     isqrt_exact,
     require,
@@ -245,61 +240,27 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
     return DimSolution(fpdim, params.layer_invertibles, dims, quotients)
 
 
-@cache
-def _prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factorize(n).factors)
-
-
-def _factor_with_hint(n: int, primes) -> list[tuple[int, int]]:
-    """Factor n whose prime divisors are all among the distinct `primes`."""
-    fac = []
-    m = n
-    for p in primes:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            fac.append((p, e))
-    if m != 1:
-        raise InvariantError("prime hint set incomplete")
-    return fac
-
-
-def _square_divisor_roots(fac: list[tuple[int, int]], hi: int, start: int = 1) -> list[int]:
-    """All d = start*e <= hi with e^2 dividing the factored number, ascending."""
-    roots = [start] if hi >= start else []
-    for p, e in fac:
-        grown = []
-        q = p
-        for _ in range(e // 2):
-            grown += [r * q for r in roots[:bisect_right(roots, hi // q)]]
-            q *= p
-        if grown:
-            roots += grown
-            roots.sort()
-    return roots
-
-
 class _Engine:
     """Depth-first search over the u-chains of one m1 branch.
 
     The state of level i is the exact rational c_i held as a reduced
     integer pair (A, B) with c_i = A/B, together with the u-chain so far.
-    The level-k test (d_k^2 = s/c_k a perfect square) is answered without
-    scanning: every valid d_k satisfies d_k^2 | s*B*u^2, so candidates are
-    read off the square divisors of that number.  Its prime factors are
-    known because B divides g times the product of the u_i^2; the hint
-    holding them (the primes of s, g, w and of the path) is built in
-    `final_node` alone, since most pushed states never reach the last level.
 
-    `final_node` scans only the roots d in a window [lo, hi] implied by the
-    final-level equation A*d^2*u_k^2 = B*u^2*(s + 2*d^2):
+    `final_node` closes a state with one level left (u = u_{k-1}).  The
+    final-level equation A*d^2*u_k^2 = B*u^2*(s + 2*d^2) confines d = d_k to
+    a window [lo, hi]:
     * u_k >= u needs (A - 2B)*d^2 <= s*B, which bounds d above when A > 2B;
     * the part a of A prime to s*B*u^2 divides s + 2*d^2, so
-      d^2 >= (a - s)/2, and a root is dropped before the big-integer
-      division unless s + 2*d^2 = 0 mod a.
-    A state whose window is empty returns before anything is factored.
+      d^2 >= (a - s)/2.
+    Written as A*u_k^2 = target/d^2 + 2*B*u^2 with target = s*B*u^2, the
+    right side falls as d grows, so the window maps onto the odd u_k from
+    max(u, isqrt((target // hi^2 + 2*B*u^2) // A)) up to
+    top = isqrt((target // lo^2 + 2*B*u^2) // A).  `top` is exact: d^2
+    divides target, so target/d^2 is an integer <= target // lo^2.  Each
+    u_k in range gives X = A*u_k^2 - 2*B*u^2, and a completion needs X > 0,
+    X | target and target/X = d^2 a square.  As s/d^2 is small next to 2,
+    u_k sits near u*sqrt(2B/A) and the range is short; a state whose window
+    is empty returns at once.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -315,8 +276,8 @@ class _Engine:
     d_k's value occurs once (u_k > u) or r + 1 times (u_k = u).  When
     r + 1 is not a multiple of L, neither count is, so the p-batch rule of
     `_min_run_ok` needs L | d_k: the state returns at once unless
-    L^2 | s*B*u^2, and only the roots d = L*e, e^2 | s*B*u^2/L^2, are built.
-    L = 1 leaves both steps inert.
+    L^2 | target, and `_finish` enforces L | d_k on what the scan finds.
+    L = 1 leaves the reject inert.
 
     With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
     level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
@@ -343,18 +304,18 @@ class _Engine:
         # D = d_i*u_i = sqrt(fpdim/w) is shared by every level
         bound = params.fpdim_bound
         self.Dmax = None if bound is None else math.isqrt(bound // w)
-        # the prime hint of final_node holds the primes of these and of the path
-        self.base = (self.s, params.group_order, w)
         self.out: list[DimSolution] = []
 
     def final_node(self, A: int, B: int, u: int, path) -> None:
         """rem = 1: emit every (u_k, d_k) completion of this state.
 
-        A completion solves A*d^2*u_k^2 = B*u^2*(s + 2*d^2) with d = d_k.
+        A completion solves A*u_k^2 = target/d^2 + 2*B*u^2 with d = d_k and
+        target = s*B*u^2; the odd u_k its window allows are scanned.
         """
         s = self.s
         u2 = u * u
         target = s * B * u2
+        B2 = 2 * B * u2
         # u_k >= u needs (A - 2B)*d^2 <= s*B
         hi = math.isqrt(s * B // (A - 2 * B)) if A > 2 * B else math.isqrt(target)
         # a, the part of A prime to target, is prime to B*u^2, so a | s + 2*d^2
@@ -369,28 +330,25 @@ class _Engine:
         if lo > hi:
             return
         # unless r + 1 = 0 mod L (r = count of u in the path), the p-batch
-        # rule needs L | d_k, so d_k = L*e with e^2 | target/L^2 (see above)
-        start, rest = 1, target
-        if (path.count(u) + 1) % self.L:
-            start = self.L
-            rest, r = divmod(target, start * start)
-            if r:
-                return
-        hint = dict.fromkeys(chain.from_iterable(map(_prime_factors, self.base + path)))
-        roots = _square_divisor_roots(_factor_with_hint(rest, hint), hi, start)
-        for d in roots[bisect_left(roots, lo):]:
-            if (s + 2 * d * d) % a:
+        # rule needs L | d_k, so L^2 | target (see above)
+        if (path.count(u) + 1) % self.L and target % (self.L * self.L):
+            return
+        # target/d^2 is an integer in [target // hi^2, target // lo^2]
+        first = max(u, math.isqrt((target // (hi * hi) + B2) // A)) | 1
+        top = math.isqrt((target // (lo * lo) + B2) // A)
+        for up in range(first, top + 1, 2):
+            if self.cop and up % self.cop == 0:
                 continue
-            An = target // (d * d)
-            q, r = divmod(An + 2 * B * u2, A)
-            if r:
+            X = A * up * up - B2
+            if X <= 0 or target % X:
                 continue
-            up, square = isqrt_exact(q)
-            if not square or up < u or up % 2 == 0 or (self.cop and up % self.cop == 0):
-                continue
-            sol = _finish(path + (up,), d, self.w, self.params)
-            if sol is not None:
-                self.out.append(sol)
+            # a root d lies in [lo, hi] or fails _finish: the window follows
+            # from the equation, dmin and the bound
+            d, square = isqrt_exact(target // X)
+            if square:
+                sol = _finish(path + (up,), d, self.w, self.params)
+                if sol is not None:
+                    self.out.append(sol)
 
     def final_chain(self, A: int, B: int, path) -> None:
         """Full-length chain: test d_k^2 = s*B/A directly."""

@@ -18,7 +18,6 @@ from oddmtc.dimsearch import (
     _Engine,
     _finish,
     _min_run_ok,
-    _square_divisor_roots,
     diff_rows,
     enumerate_solutions,
     m1_candidates,
@@ -28,6 +27,13 @@ from oddmtc.exactmath import factorize, isqrt_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
+# the basic, perfect and adjoint layers (s = 3, 1, 5; dmin = 3, 15, 3)
+PLANT_PARAMS = [
+    SearchParams(rank=25, invertibles=3),
+    SearchParams(rank=23, invertibles=1),
+    SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=29,
+                 adjoint_invertibles=5),
+]
 
 
 def next_level(
@@ -200,29 +206,23 @@ class TestNextLevel:
             assert un * un * c <= (Fraction(3, 9) + 2 * rem) * u * u
 
 
-class TestSquareDivisorRoots:
-    @given(fac=st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 6)),
-                        max_size=4, unique_by=lambda pe: pe[0]),
-           hi=st.integers(0, 3000))
-    @settings(max_examples=300, deadline=None)
-    def test_bounded_roots(self, fac, hi):
-        n = math.prod(p**e for p, e in fac)
-        roots = _square_divisor_roots(fac, hi)
-        want = [d for d in range(1, min(hi, math.isqrt(n)) + 1) if n % (d * d) == 0]
-        assert roots == want
-
-
 class TestFinalNode:
-    # with min_run = L, final_node confines d_k to multiples of L unless
-    # r + 1 = 0 mod L; the reference factors target whole and filters in _finish
+    # final_node scans u_k and, with min_run = L, returns early unless
+    # r + 1 = 0 mod L or L^2 | target; the reference scans the square
+    # divisors of target, factored whole, and filters in _finish.  "-bound"
+    # caps fpdim at the median row's, so hi is cut at Dmax // u.
     @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7",
                                        "T7-min_run2", "T7-min_run3", "T7-min_run4",
-                                       "T7-min_run5", "T4-min_run3"])
+                                       "T7-min_run5", "T4-min_run3",
+                                       "rank27-bound", "T4-bound"])
     def test_matches_unbounded_scan(self, table, golden_tables, monkeypatch):
-        table, _, run = table.partition("-min_run")
+        table, _, option = table.partition("-")
         p = RANK27 if table == "rank27" else golden_tables[table].params
-        if run:
-            p = replace(p, min_run=int(run))
+        if option.startswith("min_run"):
+            p = replace(p, min_run=int(option.removeprefix("min_run")))
+        elif option == "bound":
+            rows = enumerate_solutions(p)
+            p = replace(p, fpdim_bound=rows[len(rows) // 2].fpdim)
         bounded = _Engine.final_node
         calls = emitted = 0
 
@@ -239,6 +239,34 @@ class TestFinalNode:
         monkeypatch.setattr(_Engine, "final_node", checked)
         enumerate_solutions(p)
         assert calls and emitted
+
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           u=st.integers(0, 12).map(lambda x: 2 * x + 1),
+           up_step=st.integers(0, 10), e=st.integers(0, 10).map(lambda x: 2 * x + 1),
+           copies=st.integers(1, 5), min_run=st.sampled_from([None, 2, 3, 5]),
+           cop=st.sampled_from([None, 3, 5, 7]), slack=st.none() | st.integers(-60, 60))
+    @settings(max_examples=1500, deadline=None)
+    def test_planted_completions(self, params, w, u, up_step, e, copies, min_run, cop,
+                                 slack):
+        """A state built from a chosen completion (d, u_k): A/B is
+        u^2*(s + 2d^2)/(d^2*u_k^2), and d is an odd multiple of u/gcd(u, u_k),
+        so that every d_i = d*u_k/u is whole."""
+        s = params.layer_invertibles
+        uk = u + 2 * up_step
+        step = u // math.gcd(u, uk)
+        d = step * e
+        while d < params.dmin:
+            d += 2 * step
+        fpdim = w * uk * uk * d * d
+        params = replace(params, min_run=min_run, mi_coprime=cop,
+                         fpdim_bound=None if slack is None else max(1, fpdim + slack))
+        c = Fraction(u * u * (s + 2 * d * d), d * d * uk * uk)
+        eng = _Engine(params, w)
+        path = (u,) * copies
+        eng.final_node(c.numerator, c.denominator, u, path)
+        got = sorted(eng.out, key=DimSolution.sort_key)
+        want = _final_node_reference(eng, c.numerator, c.denominator, u, path)
+        assert got == sorted(want, key=DimSolution.sort_key)
 
 
 class TestMinRunPredicate:
@@ -363,17 +391,14 @@ class TestValidateSolution:
 class TestEngineAgainstOracle:
     def test_unbounded_search_matches_oracle(self, golden_tables):
         bound = 10**6
-        searched = [golden_tables[t].params for t in ("T2", "T3", "T4", "T6", "T7")]
-        # T8's m1=25 branch holds no rows and dominates its search time
-        t8 = golden_tables["T8"].params
-        searched.append(replace(t8, m1_exclude=t8.m1_exclude | {25}))
         checked = 0
-        for p in searched:
+        for table in golden_tables.values():
+            p = table.params
             reference = oracle.oracle_enumerate(p, bound)
             diff = oracle.compare(enumerate_solutions(p), reference, bound)
-            assert diff.empty, (p, diff.missing, diff.extra)
+            assert diff.empty, (table.table_id, diff.missing, diff.extra)
             checked += len(reference)
-        assert checked == 39
+        assert checked == 85
 
     @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7"])
     def test_min_run_equals_filtered_search(self, table, golden_tables):
