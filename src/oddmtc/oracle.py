@@ -2,39 +2,22 @@
 Independent brute-force enumerator used to certify the search engine on
 bounded instances.
 
-Iterates candidate fpdim values outermost and solves the layer equation
-directly by divisor search; shares no code with the recursive engine.
+Visits only the fpdim values the first cut of `_solve_fpdim` can pass, and
+solves the layer equation at each directly by divisor search; shares no code
+with the recursive engine.  A row needs R = root_part(fpdim) >= dim_floor
+(every dim d has d^2 | fpdim) and k*R^2 >= half, i.e. fpdim <= g*(2k*R^2 + s).
+So the candidates are R^2 * j over odd R >= dim_floor, j = rank (mod 8) as
+R^2 = 1 (mod 8), up to that cap.  The cap grows with R and root_part(R^2 * j)
+is a multiple of R, so this set is exactly what the cut passes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import isqrt
 
 from .dimsearch import DimSolution, RowDiff, SearchParams, diff_rows
 from .exactmath import is_prime_power, squarefree_split
-
-
-@lru_cache(maxsize=2)
-def _square_root_parts(limit: int) -> list[int]:
-    """For each n <= limit, the largest A with A^2 | n (via an spf sieve)."""
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    part = [1] * (limit + 1)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        part[n] = part[m] * p ** (e // 2)
-    return part
 
 
 def _odd_divisors_at_least(n: int, lo: int) -> list[int]:
@@ -56,17 +39,28 @@ def oracle_enumerate(params: SearchParams, fpdim_bound: int) -> list[DimSolution
     k = params.k
     perfect = params.perfect
     dim_floor = 15 if perfect else 3
-    parts = _square_root_parts(fpdim_bound) if fpdim_bound <= 2_000_000 else None
 
     out = []
-    fpdim = params.rank % 8
-    while fpdim <= fpdim_bound:
-        out.extend(_solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params))
-        fpdim += 8
+    for fpdim in _candidate_fpdims(params, fpdim_bound):
+        out.extend(_solve_fpdim(fpdim, s, g, k, perfect, dim_floor, params))
     return sorted(out, key=DimSolution.sort_key)
 
 
-def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params):
+def _candidate_fpdims(params: SearchParams, bound: int) -> list[int]:
+    """Every fpdim = rank (mod 8), <= bound, that `_solve_fpdim`'s first cut
+    (root_part >= dim_floor and k * root_part^2 >= half) can pass."""
+    g, k, s = params.group_order, params.k, params.layer_invertibles
+    out = set()
+    root = 15 if params.perfect else 3  # dim_floor
+    while root * root <= bound:
+        r2 = root * root
+        top = min(bound, g * (2 * k * r2 + s)) // r2
+        out.update(r2 * j for j in range(params.rank % 8, top + 1, 8))
+        root += 2
+    return sorted(out)
+
+
+def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, params):
     if fpdim % g != 0:
         return []
     layer = fpdim // g
@@ -75,7 +69,7 @@ def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, parts, params):
         return []
     half = target // 2  # sum of k squared dims
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part
-    root_part = parts[fpdim] if parts is not None else squarefree_split(fpdim)[0]
+    root_part = squarefree_split(fpdim)[0]
     # _pick's own first cut: no d exceeds root_part
     if k * root_part * root_part < half:
         return []

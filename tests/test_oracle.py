@@ -1,7 +1,8 @@
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import Mode, SearchParams, enumerate_solutions, validate_solution
+from oddmtc.dimsearch import (DimSolution, Mode, SearchParams, enumerate_solutions,
+                               validate_solution)
 from oddmtc.exactmath import squarefree_split
 
 
@@ -47,6 +48,12 @@ class TestOracleEnumerate:
                 total += len(check_equivalence(params, 10**5))
         assert total == 60
 
+    @pytest.mark.parametrize("rank, s, size", [(25, 3, 21), (33, 5, 211)])
+    def test_matches_search_bound_4e6(self, rank, s, size):
+        bound = 4 * 10 ** 6
+        params = SearchParams(rank=rank, invertibles=s, fpdim_bound=bound)
+        assert len(check_equivalence(params, bound)) == size
+
     def test_rows_validate(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**6)
         for row in oracle.oracle_enumerate(params, 10**6):
@@ -57,34 +64,40 @@ class TestOracleEnumerate:
             oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3), 2)
 
 
-class TestUnsievedPath:
-    """Bounds above 2*10^6 skip the sieve (`parts is None`)."""
+class TestCandidateFpdims:
+    """`_candidate_fpdims` is exactly the set of fpdim values that pass the
+    root-part cut of `_solve_fpdim`, here defined by brute force."""
 
-    def test_sieve_matches_squarefree_split(self):
-        limit = 10 ** 4
-        parts = oracle._square_root_parts.__wrapped__(limit)  # leave the cache alone
-        assert all(parts[n] == squarefree_split(n)[0] for n in range(1, limit + 1))
-
-    @pytest.mark.parametrize("params, bound", [
-        (SearchParams(rank=25, invertibles=3), 10 ** 5),
+    @pytest.mark.parametrize("params, size", [
+        (SearchParams(rank=25, invertibles=3), 194),
+        (SearchParams(rank=25, invertibles=1), 182),
+        # only g > 1 catches a cap without the group order
         (SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
-                      adjoint_rank=15, adjoint_invertibles=3), 10 ** 5),
+                      adjoint_rank=15, adjoint_invertibles=3), 176),
+        (SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
+                      adjoint_rank=29, adjoint_invertibles=5), 361),
     ])
-    def test_solve_fpdim_without_sieve(self, params, bound):
-        parts = oracle._square_root_parts.__wrapped__(bound)
-        fpdims = sorted({r.fpdim for r in oracle.oracle_enumerate(params, bound)})
-        assert fpdims
-        args = (params.layer_invertibles, params.group_order, params.k,
-                params.perfect, 15 if params.perfect else 3)
-        for fpdim in fpdims:
-            sieved = oracle._solve_fpdim(fpdim, *args, parts, params)
-            unsieved = oracle._solve_fpdim(fpdim, *args, None, params)
-            assert sieved and unsieved == sieved
+    def test_equals_brute_definition(self, params, size):
+        bound = 10 ** 5
+        s, g, k = params.layer_invertibles, params.group_order, params.k
+        floor = 15 if params.perfect else 3
+        want = []
+        for fpdim in range(params.rank % 8, bound + 1, 8):
+            rp = squarefree_split(fpdim)[0]
+            if rp >= floor and fpdim <= g * (2 * k * rp * rp + s):
+                want.append(fpdim)
+        assert oracle._candidate_fpdims(params, bound) == want
+        assert len(want) == size
+
+    def test_empty_below_floor_squared(self):
+        assert oracle._candidate_fpdims(SearchParams(rank=25, invertibles=1), 15 ** 2 - 1) == []
 
 
 class TestSolveFpdimFirstCut:
     """`_solve_fpdim` returns early when k * root_part^2 < half; `_pick` run
-    on the full divisor list must agree at every fpdim of the loop."""
+    on the full divisor list must agree at every fpdim = rank (mod 8), and
+    `oracle_enumerate`, which visits only the candidates, must return what
+    this full loop returns."""
 
     @pytest.mark.parametrize("params, bound", [
         (SearchParams(rank=25, invertibles=3), 10 ** 5),
@@ -94,8 +107,7 @@ class TestSolveFpdimFirstCut:
     def test_equals_pick_on_full_divisors(self, params, bound):
         s, g, k = params.layer_invertibles, params.group_order, params.k
         floor = 15 if params.perfect else 3
-        parts = oracle._square_root_parts.__wrapped__(bound)
-        found = 0
+        rows = []
         for fpdim in range(params.rank % 8, bound + 1, 8):
             want = []
             layer, r = divmod(fpdim, g)
@@ -104,10 +116,11 @@ class TestSolveFpdimFirstCut:
                                 squarefree_split(fpdim)[0], floor)
                             if (fpdim // (d * d)) % 2 == 1]
                 oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, s, params)
-            got = oracle._solve_fpdim(fpdim, s, g, k, params.perfect, floor, parts, params)
+            got = oracle._solve_fpdim(fpdim, s, g, k, params.perfect, floor, params)
             assert got == want, fpdim
-            found += len(got)
-        assert found
+            rows.extend(got)
+        assert rows
+        assert oracle.oracle_enumerate(params, bound) == sorted(rows, key=DimSolution.sort_key)
 
 
 class TestCompare:
