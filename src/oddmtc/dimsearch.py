@@ -19,14 +19,13 @@ evaluated with exact rational arithmetic.
 Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
 rides along as a counter of the trailing run of equal u_i, which cuts and
-extends states structurally; a new value that must fill all remaining
-levels is tested in the child scan itself, without a pushed state.  The
-last level is closed in `_Engine.final_node` by a scan of the odd u_k that
-the window [lo, hi] of d_k allows; nothing is factored there, and under
-min_run = L the p-batch rule rejects a state whose target is not a
-multiple of L^2.  With fpdim_bound set, the same search adds
-exact prunes (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check
-the bounded search against the brute-force oracle.
+extends states structurally.  `_Engine.final_node` ends a chain whose new
+value u_k fills the last level, or all L levels of a min-run tail, by a scan
+of the odd u_k that the window [lo, hi] of d_k allows; nothing is factored
+there, and under min_run = L the p-batch rule rejects a last-level state
+whose target is not a multiple of L^2.  With fpdim_bound set, the same
+search adds exact prunes (see `_Engine`); `tests/test_oracle.py` and
+Criterion 9 check the bounded search against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -246,20 +245,20 @@ class _Engine:
     The state of level i is the exact rational c_i held as a reduced
     integer pair (A, B) with c_i = A/B, together with the u-chain so far.
 
-    `final_node` closes a state with one level left (u = u_{k-1}).  The
-    final-level equation A*d^2*u_k^2 = B*u^2*(s + 2*d^2) confines d = d_k to
-    a window [lo, hi]:
-    * u_k >= u needs (A - 2B)*d^2 <= s*B, which bounds d above when A > 2B;
-    * the part a of A prime to s*B*u^2 divides s + 2*d^2, so
-      d^2 >= (a - s)/2.
-    Written as A*u_k^2 = target/d^2 + 2*B*u^2 with target = s*B*u^2, the
+    `final_node` closes a state at u whose new value u_k fills the last
+    n = `levels` levels (1 at rem = 1, L in a min-run tail, where u_k > u).
+    Then A*d^2*u_k^2 = B*u^2*(s + 2n*d^2) confines d = d_k to [lo, hi]:
+    * u_k >= u needs (A - 2nB)*d^2 <= s*B, which bounds d above when A > 2nB;
+    * the part a of A prime to s*B*u^2 divides s + 2n*d^2, so
+      d^2 >= (a - s)/2n.
+    Written as A*u_k^2 = target/d^2 + 2n*B*u^2 with target = s*B*u^2, the
     right side falls as d grows, so the window maps onto the odd u_k from
-    max(u, isqrt((target // hi^2 + 2*B*u^2) // A)) up to
-    top = isqrt((target // lo^2 + 2*B*u^2) // A).  `top` is exact: d^2
+    max(u, isqrt((target // hi^2 + 2n*B*u^2) // A)) (u + 2 when n > 1) up
+    to top = isqrt((target // lo^2 + 2n*B*u^2) // A).  `top` is exact: d^2
     divides target, so target/d^2 is an integer <= target // lo^2.  Each
-    u_k in range gives X = A*u_k^2 - 2*B*u^2, and a completion needs X > 0,
-    X | target and target/X = d^2 a square.  As s/d^2 is small next to 2,
-    u_k sits near u*sqrt(2B/A) and the range is short; a state whose window
+    u_k in range gives X = A*u_k^2 - 2n*B*u^2, and a completion needs X > 0,
+    X | target and target/X = d^2 a square.  As s/d^2 is small next to 2n,
+    u_k sits near u*sqrt(2nB/A) and the range is short; a state whose window
     is empty returns at once.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
@@ -268,16 +267,17 @@ class _Engine:
     unset, so every state is already free.  A state with run < L is cut
     when the run can no longer reach L, and has its run extended to L in
     one step (each level is c -> c - 2) once no fresh run fits in the
-    levels left.  At rem = L with run < L, a child u' > u must fill all L
-    levels, so d_k^2 = s*B'/(A' - 2(L-1)*B') is tested in the child scan
-    and `final_chain` runs only on a hit; only the child u itself is pushed.
+    levels left.  At rem = L with run < L, a new value u' > u leaves no room
+    for a fresh run, so it fills all L levels: `final_node` closes it with
+    n = L, and only u itself is pushed.  `final_chain` closes only the chain
+    a run extension completes at the root (k = L).
 
-    `final_node` runs with run = L.  With r the count of u in the path,
-    d_k's value occurs once (u_k > u) or r + 1 times (u_k = u).  When
-    r + 1 is not a multiple of L, neither count is, so the p-batch rule of
-    `_min_run_ok` needs L | d_k: the state returns at once unless
-    L^2 | target, and `_finish` enforces L | d_k on what the scan finds.
-    L = 1 leaves the reject inert.
+    At rem = 1, run = L.  With r the count of u in the path, d_k's value
+    occurs once (u_k > u) or r + 1 times (u_k = u).  When r + 1 is not a
+    multiple of L, neither count is, so the p-batch rule of `_min_run_ok`
+    needs L | d_k: the state returns at once unless L^2 | target, and
+    `_finish` enforces L | d_k on what the scan finds.  L = 1 leaves the
+    reject inert; at n = L, d_k's value occurs L times and it is skipped.
 
     With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
     level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
@@ -285,8 +285,8 @@ class _Engine:
     exactly:
     * a state is cut when u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2;
     * the child scan starts at the least u' with
-      u'^2*(A*Dmax^2 - B*u^2*X') >= 2*B*u^2*Dmax^2, X' = s + 2*(rem-1)*dmin^2,
-      yields nothing when that bracket is <= 0, and stops at Dmax // dmin;
+      u'^2*(A*Dmax^2 - B*u^2*X') >= 2*B*u^2*Dmax^2, X' = s + 2*(rem-1)*dmin^2
+      (the bracket is > 0 past the state cut), and stops at Dmax // dmin;
     * a child u' is skipped before it is built unless
       lcm(path, u') <= Dmax, tested as u' // gcd(lcm, u') <= Dmax // lcm;
     * `final_node` caps hi at Dmax // u, and `_finish` drops fpdim > bound.
@@ -306,35 +306,35 @@ class _Engine:
         self.Dmax = None if bound is None else math.isqrt(bound // w)
         self.out: list[DimSolution] = []
 
-    def final_node(self, A: int, B: int, u: int, path) -> None:
-        """rem = 1: emit every (u_k, d_k) completion of this state.
-
-        A completion solves A*u_k^2 = target/d^2 + 2*B*u^2 with d = d_k and
-        target = s*B*u^2; the odd u_k its window allows are scanned.
-        """
+    def final_node(self, A: int, B: int, u: int, path, levels: int) -> None:
+        """Emit the completions whose new value u_k fills the last n = `levels`
+        levels: A*u_k^2 = target/d^2 + 2n*B*u^2 with d = d_k and
+        target = s*B*u^2, over the odd u_k its window allows (see above)."""
         s = self.s
         u2 = u * u
         target = s * B * u2
-        B2 = 2 * B * u2
-        # u_k >= u needs (A - 2B)*d^2 <= s*B
-        hi = math.isqrt(s * B // (A - 2 * B)) if A > 2 * B else math.isqrt(target)
-        # a, the part of A prime to target, is prime to B*u^2, so a | s + 2*d^2
+        B2 = 2 * levels * B * u2
+        # u_k >= u needs (A - 2nB)*d^2 <= s*B
+        An = A - 2 * levels * B
+        hi = math.isqrt(s * B // An) if An > 0 else math.isqrt(target)
+        # a, the part of A prime to target, is prime to B*u^2, so a | s + 2n*d^2
         a = A
         g = gcd(a, target)
         while g != 1:
             a //= g
             g = gcd(a, g)
-        lo = max(self.dmin, math.isqrt(max(a - s, 0) // 2))
+        lo = max(self.dmin, math.isqrt(max(a - s, 0) // (2 * levels)))
         if self.Dmax is not None:
             hi = min(hi, self.Dmax // u)  # d*u <= d*u_k = D
         if lo > hi:
             return
         # unless r + 1 = 0 mod L (r = count of u in the path), the p-batch
         # rule needs L | d_k, so L^2 | target (see above)
-        if (path.count(u) + 1) % self.L and target % (self.L * self.L):
+        if levels == 1 and (path.count(u) + 1) % self.L and target % (self.L * self.L):
             return
         # target/d^2 is an integer in [target // hi^2, target // lo^2]
-        first = max(u, math.isqrt((target // (hi * hi) + B2) // A)) | 1
+        first = max(u if levels == 1 else u + 2,
+                    math.isqrt((target // (hi * hi) + B2) // A)) | 1
         top = math.isqrt((target // (lo * lo) + B2) // A)
         for up in range(first, top + 1, 2):
             if self.cop and up % self.cop == 0:
@@ -346,12 +346,13 @@ class _Engine:
             # from the equation, dmin and the bound
             d, square = isqrt_exact(target // X)
             if square:
-                sol = _finish(path + (up,), d, self.w, self.params)
+                sol = _finish(path + (up,) * levels, d, self.w, self.params)
                 if sol is not None:
                     self.out.append(sol)
 
     def final_chain(self, A: int, B: int, path) -> None:
-        """Full-length chain: test d_k^2 = s*B/A directly."""
+        """Full-length chain: test d_k^2 = s*B/A directly.  Only the chain a
+        run extension completes at the root (k = L) gets here."""
         num = self.s * B
         if num % A:
             return
@@ -361,21 +362,20 @@ class _Engine:
             if sol is not None:
                 self.out.append(sol)
 
-    def children(self, A: int, B: int, u: int, rem: int, lo: int, path):
+    def children(self, A: int, B: int, u: int, rem: int, path):
         """Continuations (u', A', B') of state c = A/B at u with rem levels
-        left: u itself first (c' = c - 2 > 0), then each u' > u with
-        c' = A'/B' > lo - 2.  A'/B' is not reduced."""
+        left: u itself first, then each u' > u, all with c' = A'/B' > 0.
+        A'/B' is not reduced."""
         u2 = u * u
         # every level still to come needs c' <= s/t + 2*(rem - 1)
         top = math.isqrt((self.s + 2 * rem * self.t) * u2 * B // (self.t * A))
-        first = max(u + 2, math.isqrt(lo * B * u2 // A) - 2) | 1
+        first = max(u + 2, math.isqrt(2 * B * u2 // A) - 2) | 1
         Dmax = self.Dmax
         if Dmax is not None:
             # c' >= (u'/Dmax)^2 * X' with X' = s + 2*(rem - 1)*dmin^2
             D2 = Dmax * Dmax
+            # > 0: the state cut passed, so bracket >= 2*B*u^2*dmin^2
             bracket = A * D2 - B * u2 * (self.s + 2 * (rem - 1) * self.dmin ** 2)
-            if bracket <= 0:
-                return
             least = -(-2 * B * u2 * D2 // bracket)  # u'^2 >= least
             first = max(first, math.isqrt(least - 1) + 1) | 1
             top = min(top, Dmax // self.dmin)
@@ -387,11 +387,10 @@ class _Engine:
             lcm = math.lcm(*path)
             cap = Dmax // lcm
             ups = (up for up in ups if up // gcd(lcm, up) <= cap)
-        floor = (lo - 2) * B * u2
         for up in ups:
             if not self.cop or up % self.cop:
                 An = A * up * up - 2 * B * u2
-                if An > floor:
+                if An > 0:
                     yield up, An, B * u2
 
     def search(self, A0: int, B0: int, u1: int) -> None:
@@ -423,20 +422,15 @@ class _Engine:
             if rem == 0:
                 self.final_chain(A, B, path)
                 continue
-            if rem == 1:
-                self.final_node(A, B, u, path)
+            if rem == 1 or (run < L and rem == L):
+                # a new value fills all rem levels: the last one, or the L of
+                # a min-run tail, where no fresh run fits after a u' > u
+                self.final_node(A, B, u, path, rem)
+                if rem > 1 and A > 2 * B:
+                    # the tail's one pushed child, u itself (A - 2B, B coprime)
+                    stack.append((i + 1, A - 2 * B, B, u, path + (u,), run + 1))
                 continue
-            # a value opened now must carry the run itself when no fresh
-            # run fits after it, which needs c' > 2*(L - 1)
-            tail = run < L and rem == L
-            lo = 2 * L if tail else 2
-            for up, An, Bn in self.children(A, B, u, rem, lo, path):
-                if tail and up != u:
-                    # u' fills all L levels left: d_k^2 = s*B'/(A' - 2(L-1)*B')
-                    An -= 2 * (L - 1) * Bn
-                    if self.s * Bn % An == 0:
-                        self.final_chain(An, Bn, path + (up,) * L)
-                    continue
+            for up, An, Bn in self.children(A, B, u, rem, path):
                 nrun = run if run == L else run + 1 if up == u else 1
                 g2 = gcd(An, Bn)
                 stack.append((i + 1, An // g2, Bn // g2, up, path + (up,), nrun))

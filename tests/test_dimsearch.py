@@ -54,9 +54,11 @@ def next_level(
     return out
 
 
-def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path) -> list[DimSolution]:
-    """Completions of a rem = 1 state by an unbounded scan: every d with
-    d^2 | s*B*u^2, factored from scratch, tested by exact division."""
+def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path,
+                          levels: int) -> list[DimSolution]:
+    """Completions whose new value u_k fills the last `levels` levels (u_k > u
+    when levels > 1), by an unbounded scan: every d with d^2 | s*B*u^2,
+    factored from scratch, tested by exact division."""
     u2 = u * u
     target = eng.s * B * u2
     roots = [1]
@@ -66,13 +68,14 @@ def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path) -> list[Di
     for d in roots:
         if d < eng.dmin:
             continue
-        q, r = divmod(target // (d * d) + 2 * B * u2, A)
+        q, r = divmod(target // (d * d) + 2 * levels * B * u2, A)
         if r:
             continue
         up, square = isqrt_exact(q)
-        if not square or up < u or up % 2 == 0 or (eng.cop and up % eng.cop == 0):
+        if (not square or up < u or (levels > 1 and up == u) or up % 2 == 0
+                or (eng.cop and up % eng.cop == 0)):
             continue
-        sol = _finish(path + (up,), d, eng.w, eng.params)
+        sol = _finish(path + (up,) * levels, d, eng.w, eng.params)
         if sol is not None:
             out.append(sol)
     return out
@@ -207,15 +210,22 @@ class TestNextLevel:
 
 
 class TestFinalNode:
-    # final_node scans u_k and, with min_run = L, returns early unless
-    # r + 1 = 0 mod L or L^2 | target; the reference scans the square
+    # final_node scans u_k and, at levels = 1 with min_run = L, returns early
+    # unless r + 1 = 0 mod L or L^2 | target; the reference scans the square
     # divisors of target, factored whole, and filters in _finish.  "-bound"
-    # caps fpdim at the median row's, so hi is cut at Dmax // u.
-    @pytest.mark.parametrize("table", ["rank27", "T2", "T4", "T6", "T7",
-                                       "T7-min_run2", "T7-min_run3", "T7-min_run4",
-                                       "T7-min_run5", "T4-min_run3",
-                                       "rank27-bound", "T4-bound"])
+    # caps fpdim at the median row's, so hi is cut at Dmax // u.  The counts
+    # are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
+    COUNTS = {
+        "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T4": {1: (39, 13)}, "T6": {1: (5, 2)},
+        "T7": {1: (4266, 11)}, "T7-min_run2": {1: (4266, 2)}, "T7-min_run3": {1: (4266, 1)},
+        "T7-min_run4": {1: (4266, 2)}, "T7-min_run5": {1: (4262, 11), 5: (4, 0)},
+        "T4-min_run3": {1: (8, 6), 3: (14, 3)},
+        "rank27-bound": {1: (1, 1)}, "T4-bound": {1: (9, 7)},
+    }
+
+    @pytest.mark.parametrize("table", COUNTS)
     def test_matches_unbounded_scan(self, table, golden_tables, monkeypatch):
+        expected = self.COUNTS[table]
         table, _, option = table.partition("-")
         p = RANK27 if table == "rank27" else golden_tables[table].params
         if option.startswith("min_run"):
@@ -224,35 +234,66 @@ class TestFinalNode:
             rows = enumerate_solutions(p)
             p = replace(p, fpdim_bound=rows[len(rows) // 2].fpdim)
         bounded = _Engine.final_node
-        calls = emitted = 0
+        counts = {}
 
-        def checked(eng, A, B, u, path):
-            nonlocal calls, emitted
+        def checked(eng, A, B, u, path, levels):
             start = len(eng.out)
-            bounded(eng, A, B, u, path)
+            bounded(eng, A, B, u, path, levels)
             got = sorted(eng.out[start:], key=DimSolution.sort_key)
-            want = sorted(_final_node_reference(eng, A, B, u, path), key=DimSolution.sort_key)
-            assert got == want, (A, B, u, path)
-            calls += 1
-            emitted += len(got)
+            want = sorted(_final_node_reference(eng, A, B, u, path, levels),
+                          key=DimSolution.sort_key)
+            assert got == want, (A, B, u, path, levels)
+            calls, rows = counts.get(levels, (0, 0))
+            counts[levels] = (calls + 1, rows + len(got))
 
         monkeypatch.setattr(_Engine, "final_node", checked)
         enumerate_solutions(p)
-        assert calls and emitted
+        assert counts == expected
+
+    def test_t8_counts(self, golden_tables, monkeypatch):
+        """T8 (k = 12, min_run = 5): the forced tail closes in final_node at
+        levels = 5, which emits the row the last level does not; no state
+        reaches final_chain, and only u itself is pushed from a tail state."""
+        counts = {"children": 0, "final_chain": 0}
+        node, children = _Engine.final_node, _Engine.children
+
+        def counted_node(eng, A, B, u, path, levels):
+            start = len(eng.out)
+            node(eng, A, B, u, path, levels)
+            calls, rows = counts.get(levels, (0, 0))
+            counts[levels] = (calls + 1, rows + len(eng.out) - start)
+
+        def counted_children(eng, *args):
+            for child in children(eng, *args):
+                counts["children"] += 1
+                yield child
+
+        def counted_chain(eng, *args):
+            counts["final_chain"] += 1
+
+        monkeypatch.setattr(_Engine, "final_node", counted_node)
+        monkeypatch.setattr(_Engine, "children", counted_children)
+        monkeypatch.setattr(_Engine, "final_chain", counted_chain)
+        assert len(enumerate_solutions(golden_tables["T8"].params)) == 21
+        assert counts == {1: (293851, 20), 5: (90884, 1), "children": 375933,
+                          "final_chain": 0}
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            u=st.integers(0, 12).map(lambda x: 2 * x + 1),
            up_step=st.integers(0, 10), e=st.integers(0, 10).map(lambda x: 2 * x + 1),
            copies=st.integers(1, 5), min_run=st.sampled_from([None, 2, 3, 5]),
-           cop=st.sampled_from([None, 3, 5, 7]), slack=st.none() | st.integers(-60, 60))
+           cop=st.sampled_from([None, 3, 5, 7]), slack=st.none() | st.integers(-60, 60),
+           tail=st.booleans())
     @settings(max_examples=1500, deadline=None)
     def test_planted_completions(self, params, w, u, up_step, e, copies, min_run, cop,
-                                 slack):
-        """A state built from a chosen completion (d, u_k): A/B is
-        u^2*(s + 2d^2)/(d^2*u_k^2), and d is an odd multiple of u/gcd(u, u_k),
-        so that every d_i = d*u_k/u is whole."""
+                                 slack, tail):
+        """A state built from a chosen completion (d, u_k) whose u_k fills
+        r levels, r = 1 or (tail) r = L = min_run with u_k > u: A/B is
+        u^2*(s + 2r*d^2)/(d^2*u_k^2), and d is an odd multiple of
+        u/gcd(u, u_k), so that every d_i = d*u_k/u is whole."""
         s = params.layer_invertibles
-        uk = u + 2 * up_step
+        levels = min_run if tail and min_run else 1
+        uk = u + 2 * (up_step + (levels > 1))
         step = u // math.gcd(u, uk)
         d = step * e
         while d < params.dmin:
@@ -260,12 +301,12 @@ class TestFinalNode:
         fpdim = w * uk * uk * d * d
         params = replace(params, min_run=min_run, mi_coprime=cop,
                          fpdim_bound=None if slack is None else max(1, fpdim + slack))
-        c = Fraction(u * u * (s + 2 * d * d), d * d * uk * uk)
+        c = Fraction(u * u * (s + 2 * levels * d * d), d * d * uk * uk)
         eng = _Engine(params, w)
         path = (u,) * copies
-        eng.final_node(c.numerator, c.denominator, u, path)
+        eng.final_node(c.numerator, c.denominator, u, path, levels)
         got = sorted(eng.out, key=DimSolution.sort_key)
-        want = _final_node_reference(eng, c.numerator, c.denominator, u, path)
+        want = _final_node_reference(eng, c.numerator, c.denominator, u, path, levels)
         assert got == sorted(want, key=DimSolution.sort_key)
 
 

@@ -39,7 +39,7 @@ class TestOracleEnumerate:
         assert len(check_equivalence(params, 10**6)) == 13
 
     def test_matches_search_min_run_tail(self):
-        """The min-run tail and final_node's L | d_k start, with the bound on."""
+        """The min-run tail and final_node's L^2 reject, with the bound on."""
         total = 0
         for rank, s in [(25, 3), (27, 3), (33, 3), (35, 5), (41, 5)]:
             for run in range(2, 6):
