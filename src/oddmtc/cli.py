@@ -101,7 +101,8 @@ def cmd_dims(args, out) -> int:
 def _grade_case(case: gradings.GradingCase, apply_filters: bool) -> dict:
     record = {"case": list(case.component_ranks), "verdict": "LISTED", "citations": []}
     if apply_filters:
-        discards = [v for v in (f(case) for f in gradings.GRADING_FILTERS) if v.discard]
+        verdicts = (f(case) for f in gradings.GRADING_FILTERS)
+        discards = [v for v in verdicts if v is not None and v.discard]
         record["verdict"] = "DISCARDED" if discards else "SURVIVING"
         record["citations"] = [v.citation for v in discards]
     return record

@@ -22,10 +22,9 @@ rides along as a counter of the trailing run of equal u_i, which cuts and
 extends states structurally.  `_Engine.final_node` ends a chain whose new
 value u_k fills the last level, or all L levels of a min-run tail, by a scan
 of the odd u_k that the window [lo, hi] of d_k allows; nothing is factored
-there, and under min_run = L the p-batch rule rejects a last-level state
-whose target is not a multiple of L^2.  With fpdim_bound set, the same
-search adds exact prunes (see `_Engine`); `tests/test_oracle.py` and
-Criterion 9 check the bounded search against the brute-force oracle.
+there.  With fpdim_bound set, the same search adds exact prunes (see
+`_Engine`); `tests/test_oracle.py` and Criterion 9 check the bounded search
+against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -270,26 +269,28 @@ class _Engine:
     levels left.  At rem = L with run < L, a new value u' > u leaves no room
     for a fresh run, so it fills all L levels: `final_node` closes it with
     n = L, and only u itself is pushed.  `final_chain` closes only the chain
-    a run extension completes at the root (k = L).
-
-    At rem = 1, run = L.  With r the count of u in the path, d_k's value
-    occurs once (u_k > u) or r + 1 times (u_k = u).  When r + 1 is not a
-    multiple of L, neither count is, so the p-batch rule of `_min_run_ok`
-    needs L | d_k: the state returns at once unless L^2 | target, and
-    `_finish` enforces L | d_k on what the scan finds.  L = 1 leaves the
-    reject inert; at n = L, d_k's value occurs L times and it is skipped.
+    a run extension completes at the root (k = L).  `_finish` applies the
+    p-batch rule of `_min_run_ok` to every row.
 
     With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
     level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
-    As every d_j >= dmin, c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2).  Hence, all
-    exactly:
-    * a state is cut when u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2;
-    * the child scan starts at the least u' with
-      u'^2*(A*Dmax^2 - B*u^2*X') >= 2*B*u^2*Dmax^2, X' = s + 2*(rem-1)*dmin^2
-      (the bracket is > 0 past the state cut), and stops at Dmax // dmin;
-    * a child u' is skipped before it is built unless
-      lcm(path, u') <= Dmax, tested as u' // gcd(lcm, u') <= Dmax // lcm;
-    * `final_node` caps hi at Dmax // u, and `_finish` drops fpdim > bound.
+    As every d_j >= dmin, c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2).  The bounded
+    search adds four exact tests.  Each stays because removing it was measured
+    to cost time ("the sweep": the 57 (rank, s) pairs of the oracle sweep at
+    bound 10^6, on 2 cores with Python 3.11):
+    * the state cut, u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2: the sweep's searches
+      take 5.3-5.9 s with it and 16-19 s without.  A state that passes has
+      `top` <= Dmax // dmin, and a child it would cut is cut when popped.
+    * the lcm cap, the only bounded filter in `children`: a child u' is
+      skipped unless lcm(path, u') <= Dmax, tested as
+      u' // gcd(lcm, u') <= Dmax // lcm.  Without it the sweep did not
+      finish in 900 s.
+    * the hi cap Dmax // u in `final_node`: it spares isqrt_exact calls
+      (27,859 -> 26,550 over the sweep); its effect on time is within noise.
+    * `_finish` drops fpdim > bound: that test defines the bound.
+    The floor `a` puts on d in `final_node` serves every search: without it,
+    verifying T1-T4, T6 and T7 took 9.0 s instead of 1.8 s, T8 12.1 s instead
+    of 2.2 s, and T5 14.2 s instead of 1.8 s.
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -328,16 +329,12 @@ class _Engine:
             hi = min(hi, self.Dmax // u)  # d*u <= d*u_k = D
         if lo > hi:
             return
-        # unless r + 1 = 0 mod L (r = count of u in the path), the p-batch
-        # rule needs L | d_k, so L^2 | target (see above)
-        if levels == 1 and (path.count(u) + 1) % self.L and target % (self.L * self.L):
-            return
         # target/d^2 is an integer in [target // hi^2, target // lo^2]
         first = max(u if levels == 1 else u + 2,
                     math.isqrt((target // (hi * hi) + B2) // A)) | 1
         top = math.isqrt((target // (lo * lo) + B2) // A)
         for up in range(first, top + 1, 2):
-            if self.cop and up % self.cop == 0:
+            if self.cop and self.w * up * up % self.cop == 0:
                 continue
             X = A * up * up - B2
             if X <= 0 or target % X:
@@ -370,25 +367,17 @@ class _Engine:
         # every level still to come needs c' <= s/t + 2*(rem - 1)
         top = math.isqrt((self.s + 2 * rem * self.t) * u2 * B // (self.t * A))
         first = max(u + 2, math.isqrt(2 * B * u2 // A) - 2) | 1
-        Dmax = self.Dmax
-        if Dmax is not None:
-            # c' >= (u'/Dmax)^2 * X' with X' = s + 2*(rem - 1)*dmin^2
-            D2 = Dmax * Dmax
-            # > 0: the state cut passed, so bracket >= 2*B*u^2*dmin^2
-            bracket = A * D2 - B * u2 * (self.s + 2 * (rem - 1) * self.dmin ** 2)
-            least = -(-2 * B * u2 * D2 // bracket)  # u'^2 >= least
-            first = max(first, math.isqrt(least - 1) + 1) | 1
-            top = min(top, Dmax // self.dmin)
         if A > 2 * B and u <= top:
             yield u, A - 2 * B, B
         ups = range(first, top + 1, 2)
-        if Dmax is not None:
+        if self.Dmax is not None:
             # D is a multiple of lcm(path, u'), so that lcm is at most Dmax
             lcm = math.lcm(*path)
-            cap = Dmax // lcm
+            cap = self.Dmax // lcm
             ups = (up for up in ups if up // gcd(lcm, up) <= cap)
         for up in ups:
-            if not self.cop or up % self.cop:
+            # mi_coprime constrains the quotient w*u'^2, not u' alone
+            if not self.cop or self.w * up * up % self.cop:
                 An = A * up * up - 2 * B * u2
                 if An > 0:
                     yield up, An, B * u2

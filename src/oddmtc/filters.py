@@ -33,7 +33,6 @@ CITE_SEMIDIRECT = "rule:semidirect-product-divisibility"
 class Verdict(enum.Enum):
     PASS = "PASS"
     DISCARD = "DISCARD"
-    NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 @dataclass(frozen=True)
@@ -119,17 +118,17 @@ def deequiv_solution_filter(adjoint_dims, p: int, adjoint_fpdim: int) -> FilterV
     )
 
 
-def outside_dim_uniformity(solution, case) -> FilterVerdict:
+def outside_dim_uniformity(solution, case) -> FilterVerdict | None:
     """With prime invertible count p and all non-adjoint components of
     rank p, the p(p-1) objects outside the adjoint part share one dim
-    d with fpdim = p^2 * d^2."""
+    d with fpdim = p^2 * d^2.  None (no verdict) for any other case."""
     p = case.invertibles
     odd = case.odd_multiplicity_ranks()
     non_adjoint_all_p = len(odd) == 1 and all(
         r == p for r in case.component_ranks if r != odd[0]
     ) and case.rank_multiplicities()[p] >= p - 1
     if not is_prime(p) or not non_adjoint_all_p:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, "outside-dim-uniformity", CITE_UNIFORMITY)
+        return None
     q, r = divmod(solution.fpdim, p * p)
     if r != 0:
         return FilterVerdict(

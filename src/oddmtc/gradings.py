@@ -78,11 +78,12 @@ def _partitions_at_most(n: int, parts: int, lo: int = 1) -> list[tuple[int, ...]
     return out
 
 
-def filter_min_three_components(case: GradingCase) -> FilterVerdict:
+def filter_min_three_components(case: GradingCase) -> FilterVerdict | None:
     """A non-trivial pointed adjoint part forces, for some prime p dividing
-    the invertible count, at least three components of rank >= p."""
+    the invertible count, at least three components of rank >= p.  None (no
+    verdict) with one invertible."""
     if case.invertibles == 1:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, "min-three-components", CITE_MIN_THREE)
+        return None
     primes = [p for p, _ in factorize(case.invertibles).factors]
     for p in primes:
         if sum(1 for r in case.component_ranks if r >= p) >= 3:
@@ -95,13 +96,13 @@ def filter_min_three_components(case: GradingCase) -> FilterVerdict:
     )
 
 
-def filter_divisibility(case: GradingCase) -> FilterVerdict:
+def filter_divisibility(case: GradingCase) -> FilterVerdict | None:
     """With a prime invertible count p, at most one component may have rank
     not divisible by p, and that component must be the adjoint one (the
-    unique odd-multiplicity rank)."""
+    unique odd-multiplicity rank).  None (no verdict) for a non-prime count."""
     p = case.invertibles
     if not is_prime(p):
-        return FilterVerdict(Verdict.NOT_APPLICABLE, "component-divisibility", CITE_DIVISIBILITY)
+        return None
     nondiv = [r for r in case.component_ranks if r % p != 0]
     if len(nondiv) > 1:
         return FilterVerdict(
@@ -158,7 +159,8 @@ def filter_adjoint_containment(case: GradingCase) -> FilterVerdict:
     return FilterVerdict(Verdict.PASS, "adjoint-containment", CITE_ADJOINT_CONTAINS)
 
 
-#: Every grading-case discard rule, in report order.
+#: Every grading-case discard rule, in report order.  A rule returns None
+#: when it does not apply to the case.
 GRADING_FILTERS = (
     filter_min_three_components,
     filter_divisibility,

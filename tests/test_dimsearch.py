@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oddmtc import filters, oracle
 from oddmtc.dimsearch import (
@@ -37,10 +37,11 @@ PLANT_PARAMS = [
 
 
 def next_level(
-    c_prev: Fraction, u_prev: int, remaining: int, params: SearchParams
+    c_prev: Fraction, u_prev: int, remaining: int, params: SearchParams, w: int = 1
 ) -> list[tuple[int, Fraction]]:
     """Admissible (u_next, c_next) continuations from state (c_prev, u_prev),
-    computed with Fractions as a reference for the engine's integer scan."""
+    computed with Fractions as a reference for the engine's integer scan.
+    mi_coprime is tested on the quotient w*u_next^2."""
     s = params.layer_invertibles
     # u^2 <= s*u_prev^2/(t*c_prev) + 2*remaining*u_prev^2/c_prev
     upper = (Fraction(s, params.t) + 2 * remaining) * u_prev * u_prev / c_prev
@@ -48,7 +49,7 @@ def next_level(
     u = u_prev
     while u * u <= upper:
         c_next = c_prev * u * u / (u_prev * u_prev) - 2
-        if c_next > 0 and (not params.mi_coprime or u % params.mi_coprime != 0):
+        if c_next > 0 and (not params.mi_coprime or w * u * u % params.mi_coprime != 0):
             out.append((u, c_next))
         u += 2
     return out
@@ -73,7 +74,7 @@ def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path,
             continue
         up, square = isqrt_exact(q)
         if (not square or up < u or (levels > 1 and up == u) or up % 2 == 0
-                or (eng.cop and up % eng.cop == 0)):
+                or (eng.cop and eng.w * up * up % eng.cop == 0)):
             continue
         sol = _finish(path + (up,) * levels, d, eng.w, eng.params)
         if sol is not None:
@@ -195,24 +196,35 @@ class TestNextLevel:
         out = next_level(Fraction(7), 3, 10, p)
         assert out == [(3, Fraction(5)), (5, Fraction(157, 9))]
 
-    @given(c_num=st.integers(1, 50), u=st.integers(1, 15).map(lambda x: 2 * x + 1),
-           rem=st.integers(1, 10))
-    @settings(max_examples=200, deadline=None)
-    def test_recurrence_and_bounds(self, c_num, u, rem):
-        p = SearchParams(rank=25, invertibles=3)
-        c = Fraction(c_num, 3)
-        for un, cn in next_level(c, u, rem, p):
-            assert un >= u and un % 2 == 1
-            assert cn == c * un * un / (u * u) - 2
-            assert cn > 0
-            # upper bound: next state keeps the budget non-negative
-            assert un * un * c <= (Fraction(3, 9) + 2 * rem) * u * u
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           c_num=st.integers(1, 200), c_den=st.integers(1, 30),
+           u=st.integers(0, 15).map(lambda x: 2 * x + 1), rem=st.integers(1, 10),
+           lead=st.lists(st.integers(0, 15).map(lambda x: 2 * x + 1), max_size=3),
+           cop=st.sampled_from([None, 3, 5, 9, 15, 25]),
+           slack=st.none() | st.integers(0, 2000))
+    @settings(max_examples=500, deadline=None)
+    def test_recurrence_and_bounds(self, params, w, c_num, c_den, u, rem, lead, cop, slack):
+        """`_Engine.children` yields exactly the reference continuations, in
+        order.  With fpdim_bound set and lcm(path) <= Dmax, it yields the
+        subset with lcm(path, u') <= Dmax: that is its only bounded filter."""
+        assume(not cop or w * u * u % cop)
+        c = Fraction(c_num, c_den)
+        path = tuple(sorted(x for x in lead if x <= u)) + (u,)
+        params = replace(params, mi_coprime=cop)
+        want = next_level(c, u, rem, params, w)
+        if slack is not None:
+            Dmax = math.lcm(*path) + slack
+            params = replace(params, fpdim_bound=w * Dmax * Dmax)
+            want = [(up, cn) for up, cn in want if math.lcm(*path, up) <= Dmax]
+        eng = _Engine(params, w)
+        got = [(up, Fraction(An, Bn))
+               for up, An, Bn in eng.children(c.numerator, c.denominator, u, rem, path)]
+        assert got == want
 
 
 class TestFinalNode:
-    # final_node scans u_k and, at levels = 1 with min_run = L, returns early
-    # unless r + 1 = 0 mod L or L^2 | target; the reference scans the square
-    # divisors of target, factored whole, and filters in _finish.  "-bound"
+    # final_node scans u_k; the reference scans the square divisors of
+    # target, factored whole, and filters in _finish.  "-bound"
     # caps fpdim at the median row's, so hi is cut at Dmax // u.  The counts
     # are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
     COUNTS = {
@@ -278,11 +290,34 @@ class TestFinalNode:
         assert counts == {1: (293851, 20), 5: (90884, 1), "children": 375933,
                           "final_chain": 0}
 
+    def test_bounded_counts(self, monkeypatch):
+        """Rank 33, s = 3 at bound 10^6: the state cut and the lcm cap set these
+        counts, so a change to either bounded prune shows here."""
+        counts = {"children calls": 0, "children": 0, "final_node": 0}
+        node, children = _Engine.final_node, _Engine.children
+
+        def counted_node(eng, *args):
+            counts["final_node"] += 1
+            node(eng, *args)
+
+        def counted_children(eng, *args):
+            counts["children calls"] += 1
+            for child in children(eng, *args):
+                counts["children"] += 1
+                yield child
+
+        monkeypatch.setattr(_Engine, "final_node", counted_node)
+        monkeypatch.setattr(_Engine, "children", counted_children)
+        params = SearchParams(rank=33, invertibles=3, fpdim_bound=10**6)
+        assert len(enumerate_solutions(params)) == 333
+        assert counts == {"children calls": 4732, "children": 6377, "final_node": 1350}
+
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            u=st.integers(0, 12).map(lambda x: 2 * x + 1),
            up_step=st.integers(0, 10), e=st.integers(0, 10).map(lambda x: 2 * x + 1),
            copies=st.integers(1, 5), min_run=st.sampled_from([None, 2, 3, 5]),
-           cop=st.sampled_from([None, 3, 5, 7]), slack=st.none() | st.integers(-60, 60),
+           cop=st.sampled_from([None, 3, 5, 7, 9, 15]),
+           slack=st.none() | st.integers(-60, 60),
            tail=st.booleans())
     @settings(max_examples=1500, deadline=None)
     def test_planted_completions(self, params, w, u, up_step, e, copies, min_run, cop,

@@ -30,6 +30,14 @@ class TestOracleEnumerate:
                               fpdim_bound=10**6)
         check_equivalence(params, 10**6)
 
+    @pytest.mark.parametrize("rank, s, cop, size", [
+        (19, 3, 9, 0), (19, 3, 15, 0), (17, 3, 25, 0), (25, 3, 25, 3), (27, 3, 15, 4)])
+    def test_matches_search_composite_mi_coprime(self, rank, s, cop, size):
+        """mi_coprime bounds each quotient w*u^2, so a composite P also
+        rejects u with P not dividing u, e.g. 27 = 3*3^2 under P = 9."""
+        params = SearchParams(rank=rank, invertibles=s, mi_coprime=cop, fpdim_bound=10**6)
+        assert len(check_equivalence(params, 10**6)) == size
+
     def test_matches_search_min_run(self):
         params = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
                               adjoint_rank=29, adjoint_invertibles=5,
@@ -39,7 +47,7 @@ class TestOracleEnumerate:
         assert len(check_equivalence(params, 10**6)) == 13
 
     def test_matches_search_min_run_tail(self):
-        """The min-run tail and final_node's L^2 reject, with the bound on."""
+        """The min-run tail and the p-batch rule in _finish, with the bound on."""
         total = 0
         for rank, s in [(25, 3), (27, 3), (33, 3), (35, 5), (41, 5)]:
             for run in range(2, 6):
