@@ -18,13 +18,13 @@ evaluated with exact rational arithmetic.
 
 Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
-rides along as a counter of the trailing run of equal u_i, which cuts and
-extends states structurally.  `_Engine.final_node` ends a chain whose new
-value u_k fills the last level, or all L levels of a min-run tail, by a scan
-of the odd u_k that the window [lo, hi] of d_k allows; nothing is factored
-there.  With fpdim_bound set, the same search adds exact prunes (see
-`_Engine`); `tests/test_oracle.py` and Criterion 9 check the bounded search
-against the brute-force oracle.
+rides along as a counter of the trailing run of equal u_i, and one rule
+closes, extends or drops a state once no fresh run fits.
+`_Engine.final_node` ends a chain whose new value u_k fills the last level,
+or all L levels of a min-run tail, by a scan of the odd u_k that the window
+[lo, hi] of d_k allows; nothing is factored there.  With fpdim_bound set,
+the same search adds exact prunes (see `_Engine`); `tests/test_oracle.py`
+and Criterion 9 check the bounded search against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -263,31 +263,31 @@ class _Engine:
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
     run of equal u, which stays at L once reached; L = 1 when min_run is
-    unset, so every state is already free.  A state with run < L is cut
-    when the run can no longer reach L, and has its run extended to L in
-    one step (each level is c -> c - 2) once no fresh run fits in the
-    levels left.  At rem = L with run < L, a new value u' > u leaves no room
-    for a fresh run, so it fills all L levels: `final_node` closes it with
-    n = L, and only u itself is pushed.  `final_chain` closes only the chain
-    a run extension completes at the root (k = L).  `_finish` applies the
-    p-batch rule of `_min_run_ok` to every row.
+    unset, so every state is already free.  One rule serves a state with
+    run < L and rem <= L, after whose new value u' > u no fresh run fits.
+    At rem = L, u' may still fill all L levels, and `final_node` closes it
+    with n = L.  Then the trailing run grows to L in one step (each level
+    is c -> c - 2), and the state is dropped when the need = L - run levels
+    exceed rem or leave c <= 0.  `final_chain` closes the full-length
+    chains: every k = 1 search (L = 1) and the chain a run extension
+    completes at the root (k = L).  `_finish` applies the p-batch rule of
+    `_min_run_ok` to every row.
 
     With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
     level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
     As every d_j >= dmin, c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2).  The bounded
-    search adds four exact tests.  Each stays because removing it was measured
-    to cost time ("the sweep": the 57 (rank, s) pairs of the oracle sweep at
-    bound 10^6, on 2 cores with Python 3.11):
-    * the state cut, u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2: the sweep's searches
-      take 5.3-5.9 s with it and 16-19 s without.  A state that passes has
-      `top` <= Dmax // dmin, and a child it would cut is cut when popped.
+    search adds three exact tests ("the sweep": the 57 (rank, s) pairs of the
+    oracle sweep at bound 10^6, on 2 cores with Python 3.11):
+    * the state cut, u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2, once per popped
+      state: the sweep's searches take 5.3-5.9 s with it and 16-19 s without.
+      A state that passes has `top` <= Dmax // dmin, and a child it would
+      cut is cut when popped.
     * the lcm cap, the only bounded filter in `children`: a child u' is
       skipped unless lcm(path, u') <= Dmax, tested as
       u' // gcd(lcm, u') <= Dmax // lcm.  Without it the sweep did not
       finish in 900 s.
-    * the hi cap Dmax // u in `final_node`: it spares isqrt_exact calls
-      (27,859 -> 26,550 over the sweep); its effect on time is within noise.
-    * `_finish` drops fpdim > bound: that test defines the bound.
+    * `_finish` drops fpdim > bound: that test defines the bound, and it is
+      the only bound test on the rows of `final_node` and `final_chain`.
     The floor `a` puts on d in `final_node` serves every search: without it,
     verifying T1-T4, T6 and T7 took 9.0 s instead of 1.8 s, T8 12.1 s instead
     of 2.2 s, and T5 14.2 s instead of 1.8 s.
@@ -325,8 +325,6 @@ class _Engine:
             a //= g
             g = gcd(a, g)
         lo = max(self.dmin, math.isqrt(max(a - s, 0) // (2 * levels)))
-        if self.Dmax is not None:
-            hi = min(hi, self.Dmax // u)  # d*u <= d*u_k = D
         if lo > hi:
             return
         # target/d^2 is an integer in [target // hi^2, target // lo^2]
@@ -340,7 +338,7 @@ class _Engine:
             if X <= 0 or target % X:
                 continue
             # a root d lies in [lo, hi] or fails _finish: the window follows
-            # from the equation, dmin and the bound
+            # from the equation and dmin
             d, square = isqrt_exact(target // X)
             if square:
                 sol = _finish(path + (up,) * levels, d, self.w, self.params)
@@ -348,13 +346,14 @@ class _Engine:
                     self.out.append(sol)
 
     def final_chain(self, A: int, B: int, path) -> None:
-        """Full-length chain: test d_k^2 = s*B/A directly.  Only the chain a
-        run extension completes at the root (k = L) gets here."""
+        """Full-length chain: test d_k^2 = s*B/A directly.  Every k = 1
+        search gets here, and the chain a run extension completes at the
+        root (k = L)."""
         num = self.s * B
         if num % A:
             return
         d, square = isqrt_exact(num // A)
-        if square and d >= self.dmin:
+        if square:
             sol = _finish(path, d, self.w, self.params)
             if sol is not None:
                 self.out.append(sol)
@@ -389,40 +388,35 @@ class _Engine:
         if Dmax is not None:
             D2 = Dmax * Dmax
             dmin2 = self.dmin ** 2
-        stack = [(1, A0, B0, u1, (u1,), 1)]
+        stack = [(A0, B0, (u1,), 1)]
         while stack:
-            i, A, B, u, path, run = stack.pop()
-            if run < L:
-                need = L - run
-                if k - i < need:
-                    continue
-                if k - i < L:
-                    # no fresh run fits: the trailing run must grow to L
-                    A -= 2 * need * B
-                    if A <= 0:
-                        continue
-                    g2 = gcd(A, B)
-                    A, B = A // g2, B // g2
-                    i, path, run = i + need, path + (u,) * need, L
-            rem = k - i
+            A, B, path, run = stack.pop()
+            u = path[-1]
+            rem = k - len(path)
             # c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2), as every d_j >= dmin
             if Dmax is not None and u * u * B * (self.s + 2 * rem * dmin2) > A * D2:
                 continue
+            if run < L and rem <= L:
+                # after a u' > u no fresh run fits, unless u' fills all L levels
+                if rem == L:
+                    self.final_node(A, B, u, path, L)
+                # otherwise the trailing run grows to L (each level is c -> c - 2)
+                need = L - run
+                A -= 2 * need * B
+                if need > rem or A <= 0:
+                    continue
+                g2 = gcd(A, B)
+                A, B = A // g2, B // g2
+                path, run, rem = path + (u,) * need, L, rem - need
             if rem == 0:
                 self.final_chain(A, B, path)
-                continue
-            if rem == 1 or (run < L and rem == L):
-                # a new value fills all rem levels: the last one, or the L of
-                # a min-run tail, where no fresh run fits after a u' > u
-                self.final_node(A, B, u, path, rem)
-                if rem > 1 and A > 2 * B:
-                    # the tail's one pushed child, u itself (A - 2B, B coprime)
-                    stack.append((i + 1, A - 2 * B, B, u, path + (u,), run + 1))
-                continue
-            for up, An, Bn in self.children(A, B, u, rem, path):
-                nrun = run if run == L else run + 1 if up == u else 1
-                g2 = gcd(An, Bn)
-                stack.append((i + 1, An // g2, Bn // g2, up, path + (up,), nrun))
+            elif rem == 1:
+                self.final_node(A, B, u, path, 1)
+            else:
+                for up, An, Bn in self.children(A, B, u, rem, path):
+                    nrun = run if run == L else run + 1 if up == u else 1
+                    g2 = gcd(An, Bn)
+                    stack.append((An // g2, Bn // g2, path + (up,), nrun))
 
 
 def _search_branch(args) -> list[DimSolution]:

@@ -224,8 +224,8 @@ class TestNextLevel:
 
 class TestFinalNode:
     # final_node scans u_k; the reference scans the square divisors of
-    # target, factored whole, and filters in _finish.  "-bound"
-    # caps fpdim at the median row's, so hi is cut at Dmax // u.  The counts
+    # target, factored whole, and filters in _finish.  "-bound" caps fpdim
+    # at the median row's, and _finish drops the rows above it.  The counts
     # are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
     COUNTS = {
         "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T4": {1: (39, 13)}, "T6": {1: (5, 2)},
@@ -265,7 +265,8 @@ class TestFinalNode:
     def test_t8_counts(self, golden_tables, monkeypatch):
         """T8 (k = 12, min_run = 5): the forced tail closes in final_node at
         levels = 5, which emits the row the last level does not; no state
-        reaches final_chain, and only u itself is pushed from a tail state."""
+        reaches final_chain, and a tail state then grows its run to 5 in one
+        step."""
         counts = {"children": 0, "final_chain": 0}
         node, children = _Engine.final_node, _Engine.children
 
@@ -291,26 +292,39 @@ class TestFinalNode:
                           "final_chain": 0}
 
     def test_bounded_counts(self, monkeypatch):
-        """Rank 33, s = 3 at bound 10^6: the state cut and the lcm cap set these
-        counts, so a change to either bounded prune shows here."""
-        counts = {"children calls": 0, "children": 0, "final_node": 0}
+        """Rank 33, s = 3 and rank 41, s = 5 with min_run = 5, at bound 10^6:
+        the state cut and the lcm cap set these counts, and on rank 41 the
+        min-run rule too, so a change to a bounded prune or to that rule
+        shows here.  final_node calls are counted by levels."""
+        counts = {}
         node, children = _Engine.final_node, _Engine.children
 
-        def counted_node(eng, *args):
-            counts["final_node"] += 1
-            node(eng, *args)
+        def count(key):
+            counts[key] = counts.get(key, 0) + 1
+
+        def counted_node(eng, A, B, u, path, levels):
+            count(f"final_node {levels}")
+            node(eng, A, B, u, path, levels)
 
         def counted_children(eng, *args):
-            counts["children calls"] += 1
+            count("children calls")
             for child in children(eng, *args):
-                counts["children"] += 1
+                count("children")
                 yield child
 
         monkeypatch.setattr(_Engine, "final_node", counted_node)
         monkeypatch.setattr(_Engine, "children", counted_children)
-        params = SearchParams(rank=33, invertibles=3, fpdim_bound=10**6)
-        assert len(enumerate_solutions(params)) == 333
-        assert counts == {"children calls": 4732, "children": 6377, "final_node": 1350}
+        cases = [
+            (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 333,
+             {"children calls": 4732, "children": 6377, "final_node 1": 1350}),
+            (SearchParams(rank=41, invertibles=5, min_run=5, fpdim_bound=10**6), 6,
+             {"children calls": 14711, "children": 20623, "final_node 1": 3726,
+              "final_node 5": 2343}),
+        ]
+        for params, size, expected in cases:
+            counts.clear()
+            assert len(enumerate_solutions(params)) == size
+            assert counts == expected, params
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            u=st.integers(0, 12).map(lambda x: 2 * x + 1),

@@ -1,8 +1,8 @@
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (DimSolution, Mode, SearchParams, enumerate_solutions,
-                               validate_solution)
+from oddmtc.dimsearch import (DimSolution, Mode, SearchParams, _Engine,
+                               enumerate_solutions, validate_solution)
 from oddmtc.exactmath import squarefree_split
 
 
@@ -55,6 +55,25 @@ class TestOracleEnumerate:
                                       fpdim_bound=10**5)
                 total += len(check_equivalence(params, 10**5))
         assert total == 60
+
+    def test_matches_search_final_chain(self, monkeypatch):
+        """Adjoint searches with k = 1 and no min_run, and with k = L, where
+        the run extension completes the root: final_chain closes every
+        chain, and final_node never runs."""
+        def no_final_node(*args):
+            raise AssertionError("final_node reached")
+
+        monkeypatch.setattr(_Engine, "final_node", no_final_node)
+        total = 0
+        for gc in (3, 5, 9, 15):
+            for ai in (3, 9, 15, 25):
+                for run in (None, 2, 3, 4, 5):
+                    ar = ai + 2 * (run or 1)
+                    params = SearchParams(rank=gc * ar, invertibles=gc, mode=Mode.ADJOINT,
+                                          adjoint_rank=ar, adjoint_invertibles=ai,
+                                          min_run=run, fpdim_bound=10**5)
+                    total += len(check_equivalence(params, 10**5))
+        assert total == 100
 
     @pytest.mark.parametrize("rank, s, size", [(25, 3, 21), (33, 5, 211)])
     def test_matches_search_bound_4e6(self, rank, s, size):
