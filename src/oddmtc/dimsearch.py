@@ -12,9 +12,10 @@ Two modes:
 
 The search works on the quotients m_i = fpdim / d_i^2, which must be
 odd positive integers with m_1 <= ... <= m_k.  Writing m_i = u_i^2 * w
-(w squarefree, shared by all i), the state is the pair (u_i, c_i) where
-c_i relates the remaining dimension budget to u_i^2; all bounds are
-evaluated with exact rational arithmetic.
+(w squarefree, shared by all i), D = d_i*u_i is the same at every level and
+a multiple of l = lcm(u_1, ..., u_i).  The state is the integer pair (Q, l)
+with Q*(D/l)^2 = g*(s + 2*sum_{j>i} d_j^2) (g = 1 in basic mode), the
+remaining dimension budget, so every bound is exact integer arithmetic.
 
 Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
@@ -241,24 +242,31 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
 class _Engine:
     """Depth-first search over the u-chains of one m1 branch.
 
-    The state of level i is the exact rational c_i held as a reduced
-    integer pair (A, B) with c_i = A/B, together with the u-chain so far.
+    D = d_i*u_i = sqrt(fpdim/w) is the same at every level, and a multiple
+    of every u_i.  The state of level i is the integer pair (Q, l) with
+    l = lcm(u_1, ..., u_i) and Q = l^2*(w - 2g*sum_{j<=i} 1/u_j^2), together
+    with the u-chain so far.  With e = D/l, a whole number,
+    Q*e^2 = g*(s + 2*sum_{j>i} d_j^2), so a live state has Q > 0.  The root
+    is Q = m1 - 2g, l = u_1; a child u' with h = gcd(l, u') and r = u'/h
+    has l' = l*r and Q' = Q*r^2 - 2g*(l/h)^2.
 
     `final_node` closes a state at u whose new value u_k fills the last
     n = `levels` levels (1 at rem = 1, L in a min-run tail, where u_k > u).
-    Then A*d^2*u_k^2 = B*u^2*(s + 2n*d^2) confines d = d_k to [lo, hi]:
-    * u_k >= u needs (A - 2nB)*d^2 <= s*B, which bounds d above when A > 2nB;
-    * the part a of A prime to s*B*u^2 divides s + 2n*d^2, so
+    Then Q*u_k^2 = T/d^2 + 2n*g*l^2 with T = s*g*l^2 confines d = d_k to
+    [lo, hi]:
+    * u_k >= u needs (Q*u^2 - 2n*g*l^2)*d^2 <= T, which bounds d above when
+      Q*u^2 > 2n*g*l^2;
+    * with G = gcd(Q, g*l^2), a = Q/G is prime to g*l^2/G, so
+      Q*(u_k*d)^2 = g*l^2*(s + 2n*d^2) gives a | s + 2n*d^2, and
       d^2 >= (a - s)/2n.
-    Written as A*u_k^2 = target/d^2 + 2n*B*u^2 with target = s*B*u^2, the
-    right side falls as d grows, so the window maps onto the odd u_k from
-    max(u, isqrt((target // hi^2 + 2n*B*u^2) // A)) (u + 2 when n > 1) up
-    to top = isqrt((target // lo^2 + 2n*B*u^2) // A).  `top` is exact: d^2
-    divides target, so target/d^2 is an integer <= target // lo^2.  Each
-    u_k in range gives X = A*u_k^2 - 2n*B*u^2, and a completion needs X > 0,
-    X | target and target/X = d^2 a square.  As s/d^2 is small next to 2n,
-    u_k sits near u*sqrt(2nB/A) and the range is short; a state whose window
-    is empty returns at once.
+    The right side falls as d grows, so the window maps onto the odd u_k
+    from max(u, isqrt((T // hi^2 + 2n*g*l^2) // Q)) (u + 2 when n > 1) up to
+    top = isqrt((T // lo^2 + 2n*g*l^2) // Q).  `top` is exact: d^2 divides
+    T, so T/d^2 is an integer <= T // lo^2.  Each u_k in range gives
+    X = Q*u_k^2 - 2n*g*l^2, and a completion needs X > 0, X | T and
+    T/X = d^2 a square.  As s/d^2 is small next to 2n, u_k sits near
+    l*sqrt(2n*g/Q) and the range is short; a state whose window is empty
+    returns at once.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -267,25 +275,23 @@ class _Engine:
     run < L and rem <= L, after whose new value u' > u no fresh run fits.
     At rem = L, u' may still fill all L levels, and `final_node` closes it
     with n = L.  Then the trailing run grows to L in one step (each level
-    is c -> c - 2), and the state is dropped when the need = L - run levels
-    exceed rem or leave c <= 0.  `final_chain` closes the full-length
-    chains: every k = 1 search (L = 1) and the chain a run extension
-    completes at the root (k = L).  `_finish` applies the p-batch rule of
-    `_min_run_ok` to every row.
+    takes 2g*(l/u)^2 from Q), and the state is dropped when the
+    need = L - run levels exceed rem or leave Q <= 0.  `final_chain` closes
+    the full-length chains, where Q*e^2 = g*s: every k = 1 search (L = 1)
+    and the chain a run extension completes at the root (k = L).  `_finish`
+    applies the p-batch rule of `_min_run_ok` to every row.
 
-    With fpdim_bound set, D = d_i*u_i = sqrt(fpdim/w) is the same at every
-    level, so D <= Dmax = isqrt(bound // w), and D is a multiple of every u_i.
-    As every d_j >= dmin, c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2).  The bounded
-    search adds three exact tests ("the sweep": the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6, on 2 cores with Python 3.11):
-    * the state cut, u^2*B*(s + 2*rem*dmin^2) > A*Dmax^2, once per popped
+    With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
+    d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
+    three exact tests ("the sweep": the 57 (rank, s) pairs of the oracle
+    sweep at bound 10^6, on 2 cores with Python 3.11):
+    * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
       state: the sweep's searches take 5.3-5.9 s with it and 16-19 s without.
       A state that passes has `top` <= Dmax // dmin, and a child it would
       cut is cut when popped.
-    * the lcm cap, the only bounded filter in `children`: a child u' is
-      skipped unless lcm(path, u') <= Dmax, tested as
-      u' // gcd(lcm, u') <= Dmax // lcm.  Without it the sweep did not
-      finish in 900 s.
+    * the lcm cap, the only bounded filter in `children`: D is a multiple
+      of l' = l*r, so a child u' is skipped unless r <= Dmax // l.  Without
+      it the sweep did not finish in 900 s.
     * `_finish` drops fpdim > bound: that test defines the bound, and it is
       the only bound test on the rows of `final_node` and `final_chain`.
     The floor `a` puts on d in `final_node` serves every search: without it,
@@ -297,139 +303,128 @@ class _Engine:
         self.params = params
         self.w = w
         self.s = params.layer_invertibles
+        self.g = params.group_order
         self.t = params.t
         self.k = params.k
         self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0
         self.dmin = params.dmin
-        # D = d_i*u_i = sqrt(fpdim/w) is shared by every level
         bound = params.fpdim_bound
         self.Dmax = None if bound is None else math.isqrt(bound // w)
         self.out: list[DimSolution] = []
 
-    def final_node(self, A: int, B: int, u: int, path, levels: int) -> None:
+    def final_node(self, Q: int, l: int, u: int, path, levels: int) -> None:
         """Emit the completions whose new value u_k fills the last n = `levels`
-        levels: A*u_k^2 = target/d^2 + 2n*B*u^2 with d = d_k and
-        target = s*B*u^2, over the odd u_k its window allows (see above)."""
+        levels: Q*u_k^2 = T/d^2 + 2n*g*l^2 with d = d_k and T = s*g*l^2,
+        over the odd u_k its window allows (see above)."""
         s = self.s
-        u2 = u * u
-        target = s * B * u2
-        B2 = 2 * levels * B * u2
-        # u_k >= u needs (A - 2nB)*d^2 <= s*B
-        An = A - 2 * levels * B
-        hi = math.isqrt(s * B // An) if An > 0 else math.isqrt(target)
-        # a, the part of A prime to target, is prime to B*u^2, so a | s + 2n*d^2
-        a = A
-        g = gcd(a, target)
-        while g != 1:
-            a //= g
-            g = gcd(a, g)
+        gl2 = self.g * l * l
+        T = s * gl2
+        N = 2 * levels * gl2
+        # u_k >= u needs (Q*u^2 - 2n*g*l^2)*d^2 <= T
+        Qn = Q * u * u - N
+        hi = math.isqrt(T // Qn) if Qn > 0 else math.isqrt(T)
+        # a divides s + 2n*d^2, so d^2 >= (a - s)/2n
+        a = Q // gcd(Q, gl2)
         lo = max(self.dmin, math.isqrt(max(a - s, 0) // (2 * levels)))
         if lo > hi:
             return
-        # target/d^2 is an integer in [target // hi^2, target // lo^2]
+        # T/d^2 is an integer in [T // hi^2, T // lo^2]
         first = max(u if levels == 1 else u + 2,
-                    math.isqrt((target // (hi * hi) + B2) // A)) | 1
-        top = math.isqrt((target // (lo * lo) + B2) // A)
+                    math.isqrt((T // (hi * hi) + N) // Q)) | 1
+        top = math.isqrt((T // (lo * lo) + N) // Q)
         for up in range(first, top + 1, 2):
             if self.cop and self.w * up * up % self.cop == 0:
                 continue
-            X = A * up * up - B2
-            if X <= 0 or target % X:
+            X = Q * up * up - N
+            if X <= 0 or T % X:
                 continue
             # a root d lies in [lo, hi] or fails _finish: the window follows
             # from the equation and dmin
-            d, square = isqrt_exact(target // X)
+            d, square = isqrt_exact(T // X)
             if square:
                 sol = _finish(path + (up,) * levels, d, self.w, self.params)
                 if sol is not None:
                     self.out.append(sol)
 
-    def final_chain(self, A: int, B: int, path) -> None:
-        """Full-length chain: test d_k^2 = s*B/A directly.  Every k = 1
-        search gets here, and the chain a run extension completes at the
-        root (k = L)."""
-        num = self.s * B
-        if num % A:
+    def final_chain(self, Q: int, l: int, path) -> None:
+        """Full-length chain: test e^2 = g*s/Q directly, then d_k = e*l/u_k.
+        Every k = 1 search gets here, and the chain a run extension
+        completes at the root (k = L)."""
+        num = self.g * self.s
+        if num % Q:
             return
-        d, square = isqrt_exact(num // A)
+        e, square = isqrt_exact(num // Q)
         if square:
-            sol = _finish(path, d, self.w, self.params)
+            sol = _finish(path, e * l // path[-1], self.w, self.params)
             if sol is not None:
                 self.out.append(sol)
 
-    def children(self, A: int, B: int, u: int, rem: int, path):
-        """Continuations (u', A', B') of state c = A/B at u with rem levels
-        left: u itself first, then each u' > u, all with c' = A'/B' > 0.
-        A'/B' is not reduced."""
-        u2 = u * u
-        # every level still to come needs c' <= s/t + 2*(rem - 1)
-        top = math.isqrt((self.s + 2 * rem * self.t) * u2 * B // (self.t * A))
-        first = max(u + 2, math.isqrt(2 * B * u2 // A) - 2) | 1
-        if A > 2 * B and u <= top:
-            yield u, A - 2 * B, B
-        ups = range(first, top + 1, 2)
-        if self.Dmax is not None:
-            # D is a multiple of lcm(path, u'), so that lcm is at most Dmax
-            lcm = math.lcm(*path)
-            cap = self.Dmax // lcm
-            ups = (up for up in ups if up // gcd(lcm, up) <= cap)
-        for up in ups:
+    def children(self, Q: int, l: int, u: int, rem: int):
+        """Continuations (u', Q', l') of state (Q, l) at u with rem levels
+        left: each odd u' >= u in ascending order with Q' > 0."""
+        gl2 = self.g * l * l
+        # every level still to come needs Q*u'^2 <= (s/t + 2*rem)*g*l^2
+        top = math.isqrt((self.s + 2 * rem * self.t) * gl2 // (self.t * Q))
+        # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
+        first = max(u, math.isqrt(2 * gl2 // Q) - 2) | 1
+        # D is a multiple of lcm(path, u') = l*r; unbounded, r <= u' <= top
+        cap = top if self.Dmax is None else self.Dmax // l
+        for up in range(first, top + 1, 2):
+            h = gcd(l, up)
+            r = up // h
             # mi_coprime constrains the quotient w*u'^2, not u' alone
-            if not self.cop or self.w * up * up % self.cop:
-                An = A * up * up - 2 * B * u2
-                if An > 0:
-                    yield up, An, B * u2
+            if r > cap or self.cop and self.w * up * up % self.cop == 0:
+                continue
+            Qn = Q * r * r - 2 * self.g * (l // h) ** 2
+            if Qn > 0:
+                yield up, Qn, l * r
 
-    def search(self, A0: int, B0: int, u1: int) -> None:
+    def search(self, Q0: int, u1: int) -> None:
         k = self.k
         L = self.L
+        g = self.g
         Dmax = self.Dmax
         if Dmax is not None:
             D2 = Dmax * Dmax
             dmin2 = self.dmin ** 2
-        stack = [(A0, B0, (u1,), 1)]
+        stack = [(Q0, u1, (u1,), 1)]
         while stack:
-            A, B, path, run = stack.pop()
+            Q, l, path, run = stack.pop()
             u = path[-1]
             rem = k - len(path)
-            # c_i >= (u_i/D)^2 * (s + 2*rem*dmin^2), as every d_j >= dmin
-            if Dmax is not None and u * u * B * (self.s + 2 * rem * dmin2) > A * D2:
+            # Q*e^2 >= g*(s + 2*rem*dmin^2) with e = D/l, as every d_j >= dmin
+            if Dmax is not None and g * (self.s + 2 * rem * dmin2) * l * l > Q * D2:
                 continue
             if run < L and rem <= L:
                 # after a u' > u no fresh run fits, unless u' fills all L levels
                 if rem == L:
-                    self.final_node(A, B, u, path, L)
-                # otherwise the trailing run grows to L (each level is c -> c - 2)
+                    self.final_node(Q, l, u, path, L)
+                # otherwise the run grows to L; each level takes 2g*(l/u)^2 from Q
                 need = L - run
-                A -= 2 * need * B
-                if need > rem or A <= 0:
+                Q -= 2 * g * need * (l // u) ** 2
+                if need > rem or Q <= 0:
                     continue
-                g2 = gcd(A, B)
-                A, B = A // g2, B // g2
                 path, run, rem = path + (u,) * need, L, rem - need
             if rem == 0:
-                self.final_chain(A, B, path)
+                self.final_chain(Q, l, path)
             elif rem == 1:
-                self.final_node(A, B, u, path, 1)
+                self.final_node(Q, l, u, path, 1)
             else:
-                for up, An, Bn in self.children(A, B, u, rem, path):
+                for up, Qn, ln in self.children(Q, l, u, rem):
                     nrun = run if run == L else run + 1 if up == u else 1
-                    g2 = gcd(An, Bn)
-                    stack.append((An // g2, Bn // g2, path + (up,), nrun))
+                    stack.append((Qn, ln, path + (up,), nrun))
 
 
 def _search_branch(args) -> list[DimSolution]:
     """All solutions of one m1 branch."""
     params, m1 = args
-    g = params.group_order
-    A0, B0 = m1 - 2 * g, g
-    if A0 <= 0:
+    Q0 = m1 - 2 * params.group_order
+    if Q0 <= 0:
         return []
-    gg = gcd(A0, B0)
     u1, w = squarefree_split(m1)
     eng = _Engine(params, w)
-    eng.search(A0 // gg, B0 // gg, u1)
+    eng.search(Q0, u1)
     return eng.out
 
 

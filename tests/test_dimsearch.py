@@ -27,12 +27,16 @@ from oddmtc.exactmath import factorize, isqrt_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
-# the basic, perfect and adjoint layers (s = 3, 1, 5; dmin = 3, 15, 3)
+# the basic, perfect and two adjoint layers (s = 3, 1, 5, 3; g = 1, 1, 5, 15;
+# dmin = 3, 15, 3, 3); the prime 5 of g = 15 is not in s = 3, so final_node's
+# floor must strip g from Q
 PLANT_PARAMS = [
     SearchParams(rank=25, invertibles=3),
     SearchParams(rank=23, invertibles=1),
     SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=29,
                  adjoint_invertibles=5),
+    SearchParams(rank=45, invertibles=15, mode=Mode.ADJOINT, adjoint_rank=15,
+                 adjoint_invertibles=3),
 ]
 
 
@@ -55,13 +59,14 @@ def next_level(
     return out
 
 
-def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path,
+def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
                           levels: int) -> list[DimSolution]:
     """Completions whose new value u_k fills the last `levels` levels (u_k > u
-    when levels > 1), by an unbounded scan: every d with d^2 | s*B*u^2,
-    factored from scratch, tested by exact division."""
-    u2 = u * u
-    target = eng.s * B * u2
+    when levels > 1), by an unbounded scan: every d with d^2 | s*g*l^2,
+    factored from scratch, tested by exact division of
+    Q*u_k^2 = s*g*l^2/d^2 + 2*levels*g*l^2."""
+    gl2 = eng.params.group_order * l * l
+    target = eng.s * gl2
     roots = [1]
     for p, e in factorize(target).factors:
         roots = [r * p**a for r in roots for a in range(e // 2 + 1)]
@@ -69,7 +74,7 @@ def _final_node_reference(eng: _Engine, A: int, B: int, u: int, path,
     for d in roots:
         if d < eng.dmin:
             continue
-        q, r = divmod(target // (d * d) + 2 * levels * B * u2, A)
+        q, r = divmod(target // (d * d) + 2 * levels * gl2, Q)
         if r:
             continue
         up, square = isqrt_exact(q)
@@ -197,28 +202,36 @@ class TestNextLevel:
         assert out == [(3, Fraction(5)), (5, Fraction(157, 9))]
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
-           c_num=st.integers(1, 200), c_den=st.integers(1, 30),
+           c_num=st.integers(1, 200), c_den=st.integers(1, 30), nudge=st.integers(-3, 3),
            u=st.integers(0, 15).map(lambda x: 2 * x + 1), rem=st.integers(1, 10),
            lead=st.lists(st.integers(0, 15).map(lambda x: 2 * x + 1), max_size=3),
            cop=st.sampled_from([None, 3, 5, 9, 15, 25]),
-           slack=st.none() | st.integers(0, 2000))
+           slack=st.none() | st.integers(-2000, 2000))
     @settings(max_examples=500, deadline=None)
-    def test_recurrence_and_bounds(self, params, w, c_num, c_den, u, rem, lead, cop, slack):
+    def test_recurrence_and_bounds(self, params, w, c_num, c_den, nudge, u, rem, lead,
+                                   cop, slack):
         """`_Engine.children` yields exactly the reference continuations, in
-        order.  With fpdim_bound set and lcm(path) <= Dmax, it yields the
-        subset with lcm(path, u') <= Dmax: that is its only bounded filter."""
+        order, from an integer Q near c_num/c_den*g*l^2/u^2 with
+        l = lcm(path): the state c = u^2*Q/(g*l^2).  Each child carries
+        l' = lcm(path, u').  With fpdim_bound set, it yields the subset with
+        lcm(path, u') <= Dmax, also when l > Dmax: that is its only bounded
+        filter."""
         assume(not cop or w * u * u % cop)
-        c = Fraction(c_num, c_den)
+        g = params.group_order
         path = tuple(sorted(x for x in lead if x <= u)) + (u,)
+        l = math.lcm(*path)
+        Q = max(1, c_num * g * l * l // (c_den * u * u) + nudge)
         params = replace(params, mi_coprime=cop)
-        want = next_level(c, u, rem, params, w)
+        want = next_level(Fraction(u * u * Q, g * l * l), u, rem, params, w)
         if slack is not None:
-            Dmax = math.lcm(*path) + slack
+            Dmax = max(1, l + slack)
             params = replace(params, fpdim_bound=w * Dmax * Dmax)
-            want = [(up, cn) for up, cn in want if math.lcm(*path, up) <= Dmax]
+            want = [(up, cn) for up, cn in want if math.lcm(l, up) <= Dmax]
         eng = _Engine(params, w)
-        got = [(up, Fraction(An, Bn))
-               for up, An, Bn in eng.children(c.numerator, c.denominator, u, rem, path)]
+        got = []
+        for up, Qn, ln in eng.children(Q, l, u, rem):
+            assert ln == math.lcm(l, up)
+            got.append((up, Fraction(up * up * Qn, g * ln * ln)))
         assert got == want
 
 
@@ -248,13 +261,13 @@ class TestFinalNode:
         bounded = _Engine.final_node
         counts = {}
 
-        def checked(eng, A, B, u, path, levels):
+        def checked(eng, Q, l, u, path, levels):
             start = len(eng.out)
-            bounded(eng, A, B, u, path, levels)
+            bounded(eng, Q, l, u, path, levels)
             got = sorted(eng.out[start:], key=DimSolution.sort_key)
-            want = sorted(_final_node_reference(eng, A, B, u, path, levels),
+            want = sorted(_final_node_reference(eng, Q, l, u, path, levels),
                           key=DimSolution.sort_key)
-            assert got == want, (A, B, u, path, levels)
+            assert got == want, (Q, l, u, path, levels)
             calls, rows = counts.get(levels, (0, 0))
             counts[levels] = (calls + 1, rows + len(got))
 
@@ -270,9 +283,9 @@ class TestFinalNode:
         counts = {"children": 0, "final_chain": 0}
         node, children = _Engine.final_node, _Engine.children
 
-        def counted_node(eng, A, B, u, path, levels):
+        def counted_node(eng, Q, l, u, path, levels):
             start = len(eng.out)
-            node(eng, A, B, u, path, levels)
+            node(eng, Q, l, u, path, levels)
             calls, rows = counts.get(levels, (0, 0))
             counts[levels] = (calls + 1, rows + len(eng.out) - start)
 
@@ -302,9 +315,9 @@ class TestFinalNode:
         def count(key):
             counts[key] = counts.get(key, 0) + 1
 
-        def counted_node(eng, A, B, u, path, levels):
+        def counted_node(eng, Q, l, u, path, levels):
             count(f"final_node {levels}")
-            node(eng, A, B, u, path, levels)
+            node(eng, Q, l, u, path, levels)
 
         def counted_children(eng, *args):
             count("children calls")
@@ -337,10 +350,14 @@ class TestFinalNode:
     def test_planted_completions(self, params, w, u, up_step, e, copies, min_run, cop,
                                  slack, tail):
         """A state built from a chosen completion (d, u_k) whose u_k fills
-        r levels, r = 1 or (tail) r = L = min_run with u_k > u: A/B is
-        u^2*(s + 2r*d^2)/(d^2*u_k^2), and d is an odd multiple of
-        u/gcd(u, u_k), so that every d_i = d*u_k/u is whole."""
+        r levels, r = 1 or (tail) r = L = min_run with u_k > u: with
+        l = d*u_k*u, Q = g*(s + 2r*d^2)*u^2 solves
+        Q*u_k^2 = s*g*l^2/d^2 + 2r*g*l^2 (final_node is exact for any
+        (Q, l) with that ratio Q/(g*l^2), so l need not be lcm(path)), and
+        d is an odd multiple of u/gcd(u, u_k), so that every d_i = d*u_k/u
+        is whole."""
         s = params.layer_invertibles
+        g = params.group_order
         levels = min_run if tail and min_run else 1
         uk = u + 2 * (up_step + (levels > 1))
         step = u // math.gcd(u, uk)
@@ -350,13 +367,57 @@ class TestFinalNode:
         fpdim = w * uk * uk * d * d
         params = replace(params, min_run=min_run, mi_coprime=cop,
                          fpdim_bound=None if slack is None else max(1, fpdim + slack))
-        c = Fraction(u * u * (s + 2 * levels * d * d), d * d * uk * uk)
+        Q, l = g * (s + 2 * levels * d * d) * u * u, d * uk * u
         eng = _Engine(params, w)
         path = (u,) * copies
-        eng.final_node(c.numerator, c.denominator, u, path, levels)
+        eng.final_node(Q, l, u, path, levels)
         got = sorted(eng.out, key=DimSolution.sort_key)
-        want = _final_node_reference(eng, c.numerator, c.denominator, u, path, levels)
+        want = _final_node_reference(eng, Q, l, u, path, levels)
         assert got == sorted(want, key=DimSolution.sort_key)
+
+
+class TestState:
+    @pytest.mark.parametrize("case", [
+        "T4", "T4-min_run3", "rank33-bound", "rank41-min_run5-bound",
+        "adjoint21-min_run2", "adjoint15"])
+    def test_closed_states_carry_lcm(self, case, golden_tables, monkeypatch):
+        """Every state that reaches final_node or final_chain has
+        l = lcm(path) and Q/l^2 = w - 2g*sum 1/u_i^2.  final_chain takes
+        e = D/l to be whole, so there l must be exactly lcm(path); the two
+        adjoint cases (k = L = 2, and k = 1) close in final_chain."""
+        params = {
+            "T4": golden_tables["T4"].params,
+            "T4-min_run3": replace(golden_tables["T4"].params, min_run=3),
+            "rank33-bound": SearchParams(rank=33, invertibles=3, fpdim_bound=10**6),
+            "rank41-min_run5-bound": SearchParams(rank=41, invertibles=5, min_run=5,
+                                                  fpdim_bound=10**6),
+            "adjoint21-min_run2": SearchParams(rank=21, invertibles=3, mode=Mode.ADJOINT,
+                                               adjoint_rank=7, adjoint_invertibles=3,
+                                               min_run=2),
+            "adjoint15": SearchParams(rank=15, invertibles=3, mode=Mode.ADJOINT,
+                                      adjoint_rank=5, adjoint_invertibles=3),
+        }[case]
+        g = params.group_order
+        calls = []
+        node, chain = _Engine.final_node, _Engine.final_chain
+
+        def check(eng, Q, l, path):
+            calls.append(path)
+            assert l == math.lcm(*path), path
+            assert Fraction(Q, l * l) == eng.w - 2 * g * sum(Fraction(1, u * u) for u in path)
+
+        def checked_node(eng, Q, l, u, path, levels):
+            check(eng, Q, l, path)
+            node(eng, Q, l, u, path, levels)
+
+        def checked_chain(eng, Q, l, path):
+            check(eng, Q, l, path)
+            chain(eng, Q, l, path)
+
+        monkeypatch.setattr(_Engine, "final_node", checked_node)
+        monkeypatch.setattr(_Engine, "final_chain", checked_chain)
+        assert enumerate_solutions(params)
+        assert calls
 
 
 class TestMinRunPredicate:
