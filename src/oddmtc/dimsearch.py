@@ -24,8 +24,10 @@ closes, extends or drops a state once no fresh run fits.
 `_Engine.final_node` ends a chain whose new value u_k fills the last level,
 or all L levels of a min-run tail, by a scan of the odd u_k that the window
 [lo, hi] of d_k allows; nothing is factored there.  With fpdim_bound set,
-the same search adds exact prunes (see `_Engine`); `tests/test_oracle.py`
-and Criterion 9 check the bounded search against the brute-force oracle.
+the same search adds exact prunes, and `_Engine.final_pick` closes every
+state whose D must equal l by picking the remaining dims among the divisors
+of l (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check the
+bounded search against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -283,17 +285,25 @@ class _Engine:
 
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
-    three exact tests ("the sweep": the 57 (rank, s) pairs of the oracle
+    four exact steps ("the sweep": the 57 (rank, s) pairs of the oracle
     sweep at bound 10^6, on 2 cores with Python 3.11):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
       state: the sweep's searches take 5.3-5.9 s with it and 16-19 s without.
       A state that passes has `top` <= Dmax // dmin, and a child it would
       cut is cut when popped.
-    * the lcm cap, the only bounded filter in `children`: D is a multiple
-      of l' = l*r, so a child u' is skipped unless r <= Dmax // l.  Without
-      it the sweep did not finish in 900 s.
+    * the D = l close: D is an odd multiple of l, so Dmax < 3l gives D = l,
+      and `final_pick` closes the state (rem >= 1) with no child scan.  Each
+      later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
+      squares sum to exactly H = (Q - g*s)/2g; the pick tests
+      need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
+      The sweep's searches take 2.0-2.8 s with it and 3.4-4.6 s without.
+    * the lcm cap, the only bounded filter in `children`, which now sees
+      only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
+      skipped unless r <= Dmax // l.  Without it the sweep did not finish in
+      900 s.
     * `_finish` drops fpdim > bound: that test defines the bound, and it is
-      the only bound test on the rows of `final_node` and `final_chain`.
+      the only bound test on the rows of `final_node`, `final_chain` and
+      `final_pick`.
     The floor `a` puts on d in `final_node` serves every search: without it,
     verifying T1-T4, T6 and T7 took 9.0 s instead of 1.8 s, T8 12.1 s instead
     of 2.2 s, and T5 14.2 s instead of 1.8 s.
@@ -360,6 +370,49 @@ class _Engine:
             if sol is not None:
                 self.out.append(sol)
 
+    def final_pick(self, Q: int, l: int, u: int, path, rem: int) -> None:
+        """Close a bounded state with D = l: every later d_j = l/u_j is an odd
+        divisor of l in [dmin, l/u], and their squares sum to exactly
+        H = (Q - g*s)/2g.  Picks each nonincreasing run of rem of them,
+        a divisor and its count at a time, largest divisor first."""
+        g = self.g
+        H, odd = divmod(Q - g * self.s, 2 * g)
+        if odd or H < rem * self.dmin ** 2:
+            return
+        divs = [l // v for v in range(u, l // self.dmin + 1, 2)
+                if l % v == 0 and not (self.cop and self.w * v * v % self.cop == 0)]
+        if not divs or not rem * divs[-1] ** 2 <= H <= rem * divs[0] ** 2:
+            return
+        low2 = divs[-1] ** 2
+        last = len(divs) - 1
+
+        def emit(dims):
+            sol = _finish(path + tuple(l // d for d in dims), dims[-1], self.w, self.params)
+            if sol is not None:
+                self.out.append(sol)
+
+        def pick(i, need, budget, dims):
+            # on entry need*divs[-1]^2 <= budget <= need*divs[i]^2
+            d = divs[i]
+            if i == last:
+                # budget == need*d^2: the last divisor fills every level
+                emit(dims + (d,) * need)
+                return
+            d2 = d * d
+            next2 = divs[i + 1] ** 2
+            for take in range(min(need, budget // d2), -1, -1):
+                b, n = budget - take * d2, need - take
+                if b > n * next2:
+                    break
+                if b < n * low2:
+                    continue
+                if n:
+                    pick(i + 1, n, b, dims + (d,) * take)
+                else:
+                    emit(dims + (d,) * take)
+
+        pick(0, rem, H, ())
+
     def children(self, Q: int, l: int, u: int, rem: int):
         """Continuations (u', Q', l') of state (Q, l) at u with rem levels
         left: each odd u' >= u in ascending order with Q' > 0."""
@@ -408,6 +461,9 @@ class _Engine:
                 path, run, rem = path + (u,) * need, L, rem - need
             if rem == 0:
                 self.final_chain(Q, l, path)
+            elif Dmax is not None and Dmax < 3 * l:
+                # D is an odd multiple of l, so D = l
+                self.final_pick(Q, l, u, path, rem)
             elif rem == 1:
                 self.final_node(Q, l, u, path, 1)
             else:

@@ -100,13 +100,20 @@ def _pick(divs, idx, need, budget, acc, sols, fpdim, s, params):
         return
     d = divs[idx]
     d2 = d * d
-    lo = divs[-1]
-    if budget < need * lo * lo or budget > need * d2:
+    lo2 = divs[-1] ** 2
+    if budget < need * lo2 or budget > need * d2:
         return
-    max_take = min(need, budget // d2)
-    for take in range(max_take, -1, -1):
+    # the same bounds for the next call, tested before making it; past the
+    # last divisor only need = budget = 0 is left
+    next2 = divs[idx + 1] ** 2 if idx + 1 < len(divs) else 0
+    for take in range(min(need, budget // d2), -1, -1):
+        rest, left = budget - take * d2, need - take
+        if rest > left * next2:
+            break
+        if rest < left * lo2:
+            continue
         acc.extend([d] * take)
-        _pick(divs, idx + 1, need - take, budget - take * d2, acc, sols, fpdim, s, params)
+        _pick(divs, idx + 1, left, rest, acc, sols, fpdim, s, params)
         if take:
             del acc[-take:]
 

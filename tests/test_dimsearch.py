@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -82,6 +83,36 @@ def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
                 or (eng.cop and eng.w * up * up % eng.cop == 0)):
             continue
         sol = _finish(path + (up,) * levels, d, eng.w, eng.params)
+        if sol is not None:
+            out.append(sol)
+    return out
+
+
+def _final_pick_reference(eng: _Engine, Q: int, l: int, u: int, path,
+                          rem: int) -> list[DimSolution]:
+    """Completions of a state with D = l from the defining equation: every
+    multiset of rem odd d | l in [dmin, l/u] (u' = l/d, with w*u'^2 prime to
+    mi_coprime) with g*(s + 2*sum d^2) == Q, through `_finish`.  A memoized
+    split on the largest d, which needs d^2 <= budget <= need*d^2; the last d
+    solves d^2 = budget."""
+    g, s = eng.params.group_order, eng.s
+    divs = [d for d in range(l // u, eng.dmin - 1, -1)
+            if l % d == 0 and d % 2 and not (eng.cop and eng.w * (l // d) ** 2 % eng.cop == 0)]
+
+    @functools.cache
+    def multisets(i, need, budget):
+        """Nonincreasing need-tuples from divs[i:] whose squares sum to budget."""
+        if need == 1:
+            d, square = isqrt_exact(budget)
+            return [(d,)] if square and d in divs[i:] else []
+        return [(d,) + rest for d in divs[i:] if d * d <= budget <= need * d * d
+                for rest in multisets(divs.index(d), need - 1, budget - d * d)]
+
+    H, odd = divmod(Q - g * s, 2 * g)
+    out = []
+    for dims in [] if odd or H < 0 else multisets(0, rem, H):
+        assert g * (s + 2 * sum(d * d for d in dims)) == Q
+        sol = _finish(path + tuple(l // d for d in dims), dims[-1], eng.w, eng.params)
         if sol is not None:
             out.append(sol)
     return out
@@ -238,14 +269,15 @@ class TestNextLevel:
 class TestFinalNode:
     # final_node scans u_k; the reference scans the square divisors of
     # target, factored whole, and filters in _finish.  "-bound" caps fpdim
-    # at the median row's, and _finish drops the rows above it.  The counts
-    # are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
+    # at the median row's, and _finish drops the rows above it; a state with
+    # Dmax < 3l closes in final_pick instead (rank27-bound's one row).  The
+    # counts are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
     COUNTS = {
         "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T4": {1: (39, 13)}, "T6": {1: (5, 2)},
         "T7": {1: (4266, 11)}, "T7-min_run2": {1: (4266, 2)}, "T7-min_run3": {1: (4266, 1)},
         "T7-min_run4": {1: (4266, 2)}, "T7-min_run5": {1: (4262, 11), 5: (4, 0)},
         "T4-min_run3": {1: (8, 6), 3: (14, 3)},
-        "rank27-bound": {1: (1, 1)}, "T4-bound": {1: (9, 7)},
+        "rank27-bound": {}, "T4-bound": {1: (8, 7)},
     }
 
     @pytest.mark.parametrize("table", COUNTS)
@@ -306,11 +338,12 @@ class TestFinalNode:
 
     def test_bounded_counts(self, monkeypatch):
         """Rank 33, s = 3 and rank 41, s = 5 with min_run = 5, at bound 10^6:
-        the state cut and the lcm cap set these counts, and on rank 41 the
-        min-run rule too, so a change to a bounded prune or to that rule
-        shows here.  final_node calls are counted by levels."""
+        the state cut, the lcm cap and the Dmax < 3l dispatch to final_pick
+        set these counts, and on rank 41 the min-run rule too, so a change
+        to a bounded prune or to that rule shows here.  final_node calls are
+        counted by levels."""
         counts = {}
-        node, children = _Engine.final_node, _Engine.children
+        node, children, pick = _Engine.final_node, _Engine.children, _Engine.final_pick
 
         def count(key):
             counts[key] = counts.get(key, 0) + 1
@@ -325,14 +358,20 @@ class TestFinalNode:
                 count("children")
                 yield child
 
+        def counted_pick(eng, *args):
+            count("final_pick")
+            pick(eng, *args)
+
         monkeypatch.setattr(_Engine, "final_node", counted_node)
         monkeypatch.setattr(_Engine, "children", counted_children)
+        monkeypatch.setattr(_Engine, "final_pick", counted_pick)
         cases = [
             (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 333,
-             {"children calls": 4732, "children": 6377, "final_node 1": 1350}),
+             {"children calls": 1642, "children": 2904, "final_node 1": 286,
+              "final_pick": 910}),
             (SearchParams(rank=41, invertibles=5, min_run=5, fpdim_bound=10**6), 6,
-             {"children calls": 14711, "children": 20623, "final_node 1": 3726,
-              "final_node 5": 2343}),
+             {"children calls": 5175, "children": 9230, "final_node 1": 950,
+              "final_node 5": 727, "final_pick": 2449}),
         ]
         for params, size, expected in cases:
             counts.clear()
@@ -376,15 +415,101 @@ class TestFinalNode:
         assert got == sorted(want, key=DimSolution.sort_key)
 
 
+class TestFinalPick:
+    # {id: (params, final_pick calls, rows they emit)}; rank49-min_run5 is
+    # `oracle-check --rank 49 --invertibles 5 --min-run 5`, and the
+    # mi_coprime and perfect (dmin = 15) cases are CI's two runs at 4*10^6
+    CASES = {
+        "rank33": (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 910, 276),
+        "rank41-min_run5": (SearchParams(rank=41, invertibles=5, min_run=5,
+                                         fpdim_bound=10**6), 2449, 1),
+        "rank49-min_run5": (SearchParams(rank=49, invertibles=5, min_run=5,
+                                         fpdim_bound=10**6), 13361, 65),
+        "rank33-mi_coprime15": (SearchParams(rank=33, invertibles=3, mi_coprime=15,
+                                             fpdim_bound=4 * 10**6), 751, 33),
+        "rank33-perfect": (SearchParams(rank=33, invertibles=1, fpdim_bound=4 * 10**6),
+                           2103, 9),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_reference(self, case, monkeypatch):
+        """Every final_pick call of a bounded search emits exactly the rows of
+        `_final_pick_reference`, and the pick makes these (calls, rows)."""
+        params, calls, rows = self.CASES[case]
+        counts = {"calls": 0, "rows": 0}
+        pick = _Engine.final_pick
+
+        def checked(eng, Q, l, u, path, rem):
+            assert eng.Dmax < 3 * l
+            start = len(eng.out)
+            pick(eng, Q, l, u, path, rem)
+            got = sorted(eng.out[start:], key=DimSolution.sort_key)
+            want = sorted(_final_pick_reference(eng, Q, l, u, path, rem),
+                          key=DimSolution.sort_key)
+            assert got == want, (Q, l, u, path, rem)
+            counts["calls"] += 1
+            counts["rows"] += len(got)
+
+        monkeypatch.setattr(_Engine, "final_pick", checked)
+        enumerate_solutions(params)
+        assert counts == {"calls": calls, "rows": rows}
+
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           exps=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+                          st.integers(0, 1)),
+           lead=st.lists(st.integers(0, 40), min_size=1, max_size=2),
+           picks=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 2)),
+                          min_size=1, max_size=2),
+           min_run=st.sampled_from([None, 2, 3, 4, 5]),
+           cop=st.sampled_from([None, 3, 5, 9, 15]), over=st.integers(0, 10**6),
+           shift=st.integers(0, 2))
+    @settings(max_examples=600, deadline=None)
+    def test_planted_completions(self, params, w, exps, lead, picks, min_run, cop, over,
+                                 shift):
+        """A state with D = l planted from a chosen completion: l is a product
+        of powers of 3, 5, 7, 11, the path holds divisors of l (final_pick
+        reads l only as D, so l need not be lcm(path)), the completion takes
+        each of a few divisors u' >= u a few times, and
+        Q = g*(s + 2*sum (l/u')^2).  With l <= Dmax < 3l, final_pick emits
+        exactly the reference rows, the planted one among them when it
+        passes mi_coprime and `_finish`.  Q + 2*shift, with 0 < shift < g,
+        has no completion, as 2g does not divide Q - g*s."""
+        s, g = params.layer_invertibles, params.group_order
+        l = 3 ** exps[0] * 5 ** exps[1] * 7 ** exps[2] * 11 ** exps[3]
+        us = [v for v in range(1, l + 1, 2) if l % v == 0]
+        # with min_run = L, L copies of each value keep the p-batch rule in reach
+        rep = min_run or 2
+        path = tuple(sorted(us[i % len(us)] for i in lead for _ in range(rep)))
+        u = path[-1]
+        later = us[us.index(u):]
+        planted = sorted(later[i % len(later)] for i, n in picks for _ in range(n * rep))
+        dims = tuple(l // v for v in planted)
+        Q = g * (s + 2 * sum(d * d for d in dims))
+        Dmax = l + over % (2 * l)
+        params = replace(params, min_run=min_run, mi_coprime=cop, fpdim_bound=w * Dmax * Dmax)
+        eng = _Engine(params, w)
+        assert l <= eng.Dmax == Dmax < 3 * l
+        Q += 2 * shift
+        eng.final_pick(Q, l, u, path, len(dims))
+        got = sorted(eng.out, key=DimSolution.sort_key)
+        assert got == sorted(_final_pick_reference(eng, Q, l, u, path, len(dims)),
+                             key=DimSolution.sort_key)
+        row = _finish(path + tuple(planted), dims[-1], w, params)
+        if (row is not None and not shift
+                and not (cop and any(w * v * v % cop == 0 for v in planted))):
+            assert row in got
+
+
 class TestState:
     @pytest.mark.parametrize("case", [
         "T4", "T4-min_run3", "rank33-bound", "rank41-min_run5-bound",
         "adjoint21-min_run2", "adjoint15"])
     def test_closed_states_carry_lcm(self, case, golden_tables, monkeypatch):
-        """Every state that reaches final_node or final_chain has
+        """Every state that reaches final_node, final_chain or final_pick has
         l = lcm(path) and Q/l^2 = w - 2g*sum 1/u_i^2.  final_chain takes
-        e = D/l to be whole, so there l must be exactly lcm(path); the two
-        adjoint cases (k = L = 2, and k = 1) close in final_chain."""
+        e = D/l to be whole, and final_pick takes D = l from Dmax < 3l, so
+        there l must be exactly lcm(path); the two adjoint cases (k = L = 2,
+        and k = 1) close in final_chain."""
         params = {
             "T4": golden_tables["T4"].params,
             "T4-min_run3": replace(golden_tables["T4"].params, min_run=3),
@@ -399,7 +524,7 @@ class TestState:
         }[case]
         g = params.group_order
         calls = []
-        node, chain = _Engine.final_node, _Engine.final_chain
+        node, chain, pick = _Engine.final_node, _Engine.final_chain, _Engine.final_pick
 
         def check(eng, Q, l, path):
             calls.append(path)
@@ -414,8 +539,13 @@ class TestState:
             check(eng, Q, l, path)
             chain(eng, Q, l, path)
 
+        def checked_pick(eng, Q, l, u, path, rem):
+            check(eng, Q, l, path)
+            pick(eng, Q, l, u, path, rem)
+
         monkeypatch.setattr(_Engine, "final_node", checked_node)
         monkeypatch.setattr(_Engine, "final_chain", checked_chain)
+        monkeypatch.setattr(_Engine, "final_pick", checked_pick)
         assert enumerate_solutions(params)
         assert calls
 
@@ -465,14 +595,22 @@ class TestEnumerateSolutions:
             enumerate_solutions(RANK27, jobs=jobs)
 
     @pytest.mark.parametrize("case", ["rank25", "rank27", "T2", "T4", "T6", "T7",
-                                      "T4-min_run3"])
+                                      "T4-min_run3", "adjoint45"])
     def test_fpdim_bound_restricts(self, case, request, golden_tables):
         """Every row's fpdim, and one below it, as the bound (rank 25: the rows
-        up to 10^5): the search gives exactly the unbounded rows under it."""
+        up to 10^5): the search gives exactly the unbounded rows under it.
+        A row's own fpdim as the bound puts Dmax at its D, and D = 3l is
+        possible there, so Dmax = 3l must not reach final_pick: adjoint45's
+        333 row (all d = 3) has l = 1 at the root and D = 3, its 2925 row
+        l = 5 at (1, 1, 5) and D = 15, and two rank-25 rows at 2025 have
+        D = 45 = 3*lcm(3, 3, 5)."""
         if case == "rank25":
             p = SearchParams(rank=25, invertibles=3)
         elif case == "rank27":
             p = RANK27
+        elif case == "adjoint45":
+            p = SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
+                             adjoint_rank=15, adjoint_invertibles=3)
         elif case == "T4-min_run3":
             p = replace(golden_tables["T4"].params, min_run=3)
         else:
