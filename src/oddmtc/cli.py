@@ -146,18 +146,18 @@ PRIME_CHAIN = (
     filters.semidirect_model,
 )
 
-M1_SQUARE_25 = dict(min_m1=25, m1_square=True)
-
-#: (rank, invertibles) -> (extra SearchParams kwargs, per-solution chain).
-#: An empty search discards the hypothesis; rows found by a search without
-#: a chain are attached for manual analysis.  M1_SQUARE_25 applies when a
-#: prime invertible count p with all non-adjoint components of rank p forces
-#: m1 to be a square of at least p^2.
+#: (rank, invertibles) -> (search, per-solution chain).  The search is the
+#: id of the golden table whose search it is, or else the extra SearchParams
+#: kwargs of a search no table holds.  An empty search discards the
+#: hypothesis; rows found by a search without a chain are attached for
+#: manual analysis.  At (33, 5), as in T3 at (41, 5), a prime invertible
+#: count p with all non-adjoint components of rank p forces m1 to be a
+#: square of at least p^2.
 CLASSIFY_TABLE = {
     **{(rank, 1): ({}, ()) for rank in (17, 19, 21, 23)},
-    (25, 3): ({}, PRIME_CHAIN),
-    (33, 5): (M1_SQUARE_25, ()),
-    (41, 5): (M1_SQUARE_25, ()),
+    (25, 3): ("T1", PRIME_CHAIN),
+    (33, 5): (dict(min_m1=25, m1_square=True), ()),
+    (41, 5): ("T3", ()),
     (47, 15): ({}, ()),
 }
 
@@ -221,12 +221,16 @@ def classify(rank: int, jobs: int = 1) -> dict:
             entry["status"] = "NEEDS_MANUAL_ANALYSIS"
             entry["detail"] = NOT_MECHANIZED[entry["kind"]]
             continue
-        extra, chain = CLASSIFY_TABLE[rank, s]
-        sols = enumerate_solutions(SearchParams(rank=rank, invertibles=s, **extra), jobs=jobs)
+        search, chain = CLASSIFY_TABLE[rank, s]
+        if isinstance(search, str):
+            (table,) = (t for t in goldens.load_goldens() if t.table_id == search)
+            sols = goldens.search(table, jobs=jobs)
+        else:
+            sols = enumerate_solutions(SearchParams(rank=rank, invertibles=s, **search), jobs=jobs)
         if not sols:
             entry["status"] = "DISCARDED"
             entry["citations"] = [CITE_EMPTY_SEARCH]
-            scope = "restricted" if extra else f"the {entry['kind']}-case"
+            scope = "restricted" if search else f"the {entry['kind']}-case"
             entry["detail"] = f"{scope} search has no dimension arrays"
         elif chain:
             (case,) = survivors  # a chain row has exactly one surviving grading case

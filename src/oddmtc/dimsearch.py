@@ -40,7 +40,6 @@ from math import gcd
 from multiprocessing import Pool
 
 from .exactmath import (
-    InvariantError,
     is_prime_power,
     isqrt_exact,
     require,

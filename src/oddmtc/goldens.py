@@ -4,8 +4,9 @@ Embedded regression tables for the dimension-array search.
 Eight frozen result tables (t1 .. t8) ship as CSV data files together with
 a JSON manifest recording row counts, SHA-256 checksums, the search
 parameters that produce each table, and the factored form of each fpdim.
-`load_goldens` materializes them with full integrity checking;
-`verify` re-runs the search and diffs against the stored rows.
+`load_goldens` materializes them with full integrity checking; `search`
+runs a table's search and post filter, and `verify` diffs that against the
+stored rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class GoldenTable:
     table_id: str
     params: SearchParams
     rows: tuple[DimSolution, ...]
-    fpdim_factored: tuple[str, ...]
     post_filter: str | None = None
 
     @property
@@ -95,22 +95,20 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
         raise GoldenDataError(
             f"{table_id}: expected {entry['rows']} rows, found {len(rows)}"
         )
-    factored = tuple(entry["fpdim_factored"])
-    if len(factored) != len(rows):
-        raise GoldenDataError(f"{table_id}: factored fpdim list length mismatch")
-    for text, row in zip(factored, rows):
-        if _parse_factored(text) != row.fpdim:
-            raise GoldenDataError(
-                f"{table_id}: factored fpdim {text} != {row.fpdim}"
-            )
+    if [_parse_factored(text) for text in entry["fpdim_factored"]] != [r.fpdim for r in rows]:
+        raise GoldenDataError(f"{table_id}: factored fpdims do not match the rows")
     for row in rows:
         validate_solution(row, params)
+    post_filter = entry.get("post_filter")
+    if post_filter is not None:
+        name, _, p = post_filter.partition(":")
+        if name != "fixed_dim_multiplicity" or not p.isdigit():
+            raise GoldenDataError(f"{table_id}: unknown post filter {post_filter}")
     return GoldenTable(
         table_id=table_id,
         params=params,
         rows=tuple(rows),
-        fpdim_factored=factored,
-        post_filter=entry.get("post_filter"),
+        post_filter=post_filter,
     )
 
 
@@ -127,17 +125,15 @@ def load_goldens() -> list[GoldenTable]:
     return tables
 
 
-def _apply_post_filter(table: GoldenTable, sols: list[DimSolution]) -> list[DimSolution]:
+def search(table: GoldenTable, jobs: int = 1) -> list[DimSolution]:
+    """The table's search: its SearchParams, then its post filter if it has one."""
+    sols = enumerate_solutions(table.params, jobs=jobs)
     if table.post_filter is None:
         return sols
-    name, _, arg = table.post_filter.partition(":")
-    if name != "fixed_dim_multiplicity":
-        raise GoldenDataError(f"{table.table_id}: unknown post filter {name}")
-    p = int(arg)
+    p = int(table.post_filter.partition(":")[2])
     return [s for s in sols if not fixed_dim_multiplicity_filter(s, p).discard]
 
 
 def verify(table: GoldenTable, jobs: int = 1) -> RowDiff:
-    """Re-run the search with the table's parameters and diff against its rows."""
-    produced = enumerate_solutions(table.params, jobs=jobs)
-    return diff_rows(table.rows, _apply_post_filter(table, produced))
+    """Re-run the table's search and diff against its rows."""
+    return diff_rows(table.rows, search(table, jobs=jobs))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oddmtc import cli, dimsearch, gradings
+from oddmtc.dimsearch import SearchParams
 
 # Expected `classify` verdicts, ranks 17-49: D discarded, N needs manual
 # analysis, S surviving (pointed), A analyzed by a per-solution chain.
@@ -307,6 +308,23 @@ class TestClassify:
                    if rank in excused and 1 < s < rank and s not in excused[rank]}
         assert {rank for rank, _ in claimed} == set(excused)
         assert {cell for cell in claimed if status[cell] != D} == PAPER_OPEN_CELLS
+
+    def test_one_definition_per_search(self, golden_tables):
+        # a search a golden table holds is named by its id, never restated
+        for (rank, s), (search, _) in cli.CLASSIFY_TABLE.items():
+            if isinstance(search, str):
+                params = golden_tables[search].params
+                assert (params.rank, params.invertibles) == (rank, s)
+            else:
+                params = SearchParams(rank=rank, invertibles=s, **search)
+                assert all(t.params != params for t in golden_tables.values())
+
+    def test_named_rows_are_the_tables_rows(self, classify_reports, golden_tables):
+        hyp = {(rank, h["invertibles"]): h
+               for rank, report in classify_reports.items() for h in report["hypotheses"]}
+        trail = [item["solution"] for item in hyp[25, 3]["filter_trail"]]
+        assert trail == [cli._sol_record(r) for r in golden_tables["T1"].rows]
+        assert hyp[41, 5]["solutions"] == [cli._sol_record(r) for r in golden_tables["T3"].rows]
 
     def test_rank_out_of_range(self, capsys):
         assert cli.main(["classify", "--rank", "15"]) == 2

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 from oddmtc import filters, oracle
 from oddmtc.dimsearch import (
     DimSolution,
-    InvariantError,
     Mode,
     SearchParams,
     _Engine,
@@ -24,7 +23,7 @@ from oddmtc.dimsearch import (
     m1_candidates,
     validate_solution,
 )
-from oddmtc.exactmath import factorize, isqrt_exact
+from oddmtc.exactmath import InvariantError, factorize, isqrt_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
@@ -660,7 +659,8 @@ class TestValidateSolution:
         code = (
             "from dataclasses import replace\n"
             "from oddmtc import goldens\n"
-            "from oddmtc.dimsearch import InvariantError, validate_solution\n"
+            "from oddmtc.dimsearch import validate_solution\n"
+            "from oddmtc.exactmath import InvariantError\n"
             "assert False, 'assert statements are live'\n"
             "t1 = next(t for t in goldens.load_goldens() if t.table_id == 'T1')\n"
             "row = t1.rows[0]\n"

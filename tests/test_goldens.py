@@ -13,6 +13,13 @@ EXPECTED_ROW_COUNTS = {
 }
 
 
+def _entry_and_raw(table_id):
+    """A table's manifest entry and CSV bytes, as `load_goldens` reads them."""
+    data = resources.files("oddmtc").joinpath("data")
+    manifest = json.loads(data.joinpath("manifest.json").read_text("utf-8"))
+    return manifest[table_id], data.joinpath(f"{table_id.lower()}.csv").read_bytes()
+
+
 class TestLoadGoldens:
     def test_all_tables_present(self, golden_tables):
         assert set(golden_tables) == set(goldens.TABLE_IDS)
@@ -39,17 +46,22 @@ class TestLoadGoldens:
             assert keys == sorted(keys)
 
     def test_checksum_detects_tampering(self):
-        data = resources.files("oddmtc").joinpath("data")
-        manifest = json.loads(data.joinpath("manifest.json").read_text("utf-8"))
-        raw = data.joinpath("t1.csv").read_bytes()
+        entry, raw = _entry_and_raw("T1")
         with pytest.raises(goldens.GoldenDataError, match="checksum"):
-            goldens._load_table("T1", manifest["T1"], raw + b"\n")
+            goldens._load_table("T1", entry, raw + b"\n")
 
-    def test_factored_fpdims_consistent(self, golden_tables):
-        for table in golden_tables.values():
-            assert len(table.fpdim_factored) == table.row_count
-            for text, row in zip(table.fpdim_factored, table.rows):
-                assert goldens._parse_factored(text) == row.fpdim
+    def test_factored_fpdim_tampering_rejected(self):
+        entry, raw = _entry_and_raw("T2")
+        assert entry["fpdim_factored"][0] == "3^2*5^2*19"
+        tampered = dict(entry, fpdim_factored=["3^2*5^2*17"] + entry["fpdim_factored"][1:])
+        with pytest.raises(goldens.GoldenDataError, match="factored"):
+            goldens._load_table("T2", tampered, raw)
+
+    def test_unknown_post_filter_rejected_at_load(self):
+        entry, raw = _entry_and_raw("T5")
+        goldens._load_table("T5", entry, raw)
+        with pytest.raises(goldens.GoldenDataError, match="post filter"):
+            goldens._load_table("T5", dict(entry, post_filter="bogus:3"), raw)
 
 
 class TestVerify:
