@@ -13,7 +13,7 @@ import sys
 from io import StringIO
 
 from . import filters, gradings, goldens, oracle
-from .dimsearch import DimSolution, Mode, SearchParams, enumerate_solutions
+from .dimsearch import DimSolution, SearchParams, enumerate_solutions
 
 CITE_EMPTY_SEARCH = "rule:no-candidate-dimension-arrays"
 
@@ -69,27 +69,22 @@ def _emit_gradings(rows: list[dict], fmt: str, out) -> None:
 # search subcommands
 
 def _params_from_args(args) -> SearchParams:
-    kwargs = dict(
+    return SearchParams(
         rank=args.rank,
+        invertibles=args.invertibles,
+        adjoint_rank=args.adjoint_rank,
+        adjoint_invertibles=args.adjoint_invertibles,
         min_m1=args.min_m1,
         m1_square=args.m1_square,
         m1_exclude=frozenset(args.m1_exclude or ()),
         mi_coprime=args.mi_coprime,
         min_run=args.min_run,
         fpdim_bound=args.fpdim_bound,
-        mode=args.mode,
     )
-    if args.mode is Mode.BASIC:
-        kwargs["invertibles"] = args.invertibles
-    else:
-        kwargs["invertibles"] = args.gc
-        kwargs["adjoint_rank"] = args.adjoint_rank
-        kwargs["adjoint_invertibles"] = args.adjoint_invertibles
-    return SearchParams(**kwargs)
 
 
 def cmd_dims(args, out) -> int:
-    """`dims` and `adjoint-dims`; the subparser sets `args.mode`."""
+    """`dims` and `adjoint-dims`; `--gc` of the latter sets `args.invertibles`."""
     params = _params_from_args(args)
     _emit_solutions(enumerate_solutions(params, jobs=args.jobs), args.format, out)
     return 0
@@ -319,16 +314,16 @@ def cmd_oracle_check(args, out) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_search_flags(sub, mode: Mode) -> None:
-    sub.set_defaults(mode=mode)
+def _add_search_flags(sub, adjoint: bool) -> None:
     sub.add_argument("--rank", type=int, required=True)
-    if mode is Mode.ADJOINT:
-        sub.add_argument("--gc", type=int, required=True,
+    if adjoint:
+        sub.add_argument("--gc", type=int, required=True, dest="invertibles", metavar="GC",
                          help="total invertible count of the category")
         sub.add_argument("--adjoint-rank", type=int, required=True)
         sub.add_argument("--adjoint-invertibles", type=int, required=True)
     else:
         sub.add_argument("--invertibles", type=int, required=True)
+        sub.set_defaults(adjoint_rank=None, adjoint_invertibles=None)
     sub.add_argument("--min-m1", type=int, default=1)
     sub.add_argument("--m1-square", action="store_true")
     sub.add_argument("--m1-exclude", type=int, nargs="+", metavar="M1")
@@ -353,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     all_formats = ("json", "csv", "md")
-    for name, mode, text in (
-            ("dims", Mode.BASIC, "enumerate dimension arrays over all simples"),
-            ("adjoint-dims", Mode.ADJOINT, "enumerate dimension arrays of the adjoint layer")):
+    for name, adjoint, text in (
+            ("dims", False, "enumerate dimension arrays over all simples"),
+            ("adjoint-dims", True, "enumerate dimension arrays of the adjoint layer")):
         sub = subs.add_parser(name, help=text)
-        _add_search_flags(sub, mode)
+        _add_search_flags(sub, adjoint)
         _add_common(sub, all_formats)
         sub.set_defaults(func=cmd_dims)
 
@@ -379,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle-check",
                           help="cross-check the search against the bounded oracle")
-    _add_search_flags(sub, Mode.BASIC)
+    _add_search_flags(sub, adjoint=False)
     _add_common(sub)
     sub.set_defaults(func=cmd_oracle_check, fpdim_bound=10 ** 6)
     return parser

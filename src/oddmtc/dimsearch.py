@@ -1,21 +1,23 @@
 """
 Enumeration of candidate dimension arrays.
 
-Two modes:
+A search covers the non-invertible simple objects of one layer:
 
-* basic: all non-invertible simple objects of a rank-n category with s
-  invertible objects, so fpdim = s + 2*(d_1^2 + ... + d_k^2) with
-  k = (n - s)/2 dual pairs.
-* adjoint: non-invertible simples of the trivial grading component only,
-  so fpdim = g * (s_ad + 2*sum d_i^2) where g is the global invertible
-  count and (adjoint_rank, adjoint_invertibles) describe the component.
+* without the adjoint pair, every non-invertible simple of a rank-n
+  category with s invertible objects, so fpdim = s + 2*(d_1^2 + ... + d_k^2)
+  with k = (n - s)/2 dual pairs;
+* with the pair (adjoint_rank, adjoint_invertibles) = (n_ad, s_ad) given,
+  only the non-invertible simples of the trivial grading component, so
+  fpdim = g * (s_ad + 2*sum d_i^2) with k = (n_ad - s_ad)/2, where the
+  group order g is the global invertible count.
 
 The search works on the quotients m_i = fpdim / d_i^2, which must be
 odd positive integers with m_1 <= ... <= m_k.  Writing m_i = u_i^2 * w
 (w squarefree, shared by all i), D = d_i*u_i is the same at every level and
 a multiple of l = lcm(u_1, ..., u_i).  The state is the integer pair (Q, l)
-with Q*(D/l)^2 = g*(s + 2*sum_{j>i} d_j^2) (g = 1 in basic mode), the
-remaining dimension budget, so every bound is exact integer arithmetic.
+with Q*(D/l)^2 = g*(s + 2*sum_{j>i} d_j^2) (g = 1 without the adjoint
+pair), the remaining dimension budget, so every bound is exact integer
+arithmetic.
 
 Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
@@ -32,7 +34,6 @@ bounded search against the brute-force oracle.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -48,16 +49,10 @@ from .exactmath import (
 from .filters import p_batch_violation
 
 
-class Mode(enum.Enum):
-    BASIC = "basic"
-    ADJOINT = "adjoint"
-
-
 @dataclass(frozen=True)
 class SearchParams:
     rank: int
     invertibles: int
-    mode: Mode = Mode.BASIC
     adjoint_rank: int | None = None
     adjoint_invertibles: int | None = None
     min_m1: int = 1
@@ -74,9 +69,9 @@ class SearchParams:
             raise ValueError("invertibles must be odd and positive")
         if self.rank <= self.invertibles:
             raise ValueError("rank must exceed invertibles")
-        if self.mode is Mode.ADJOINT:
-            if self.adjoint_rank is None or self.adjoint_invertibles is None:
-                raise ValueError("adjoint mode needs adjoint_rank and adjoint_invertibles")
+        if (self.adjoint_rank is None) != (self.adjoint_invertibles is None):
+            raise ValueError("adjoint_rank and adjoint_invertibles must be given together")
+        if self.adjoint_rank is not None:
             if (self.adjoint_rank % 2 == 0 or self.adjoint_invertibles % 2 == 0
                     or self.adjoint_invertibles < 1):
                 raise ValueError("adjoint parameters must be odd and positive")
@@ -98,30 +93,23 @@ class SearchParams:
     @property
     def layer_invertibles(self) -> int:
         """Invertible count of the searched layer (the s in the equation)."""
-        if self.mode is Mode.BASIC:
-            return self.invertibles
-        return self.adjoint_invertibles
+        return self.invertibles if self.adjoint_invertibles is None else self.adjoint_invertibles
 
     @property
     def group_order(self) -> int:
         """Multiplier between the layer equation and the global fpdim."""
-        return 1 if self.mode is Mode.BASIC else self.invertibles
+        return 1 if self.adjoint_rank is None else self.invertibles
 
     @property
     def k(self) -> int:
         """Number of dual pairs searched."""
-        if self.mode is Mode.BASIC:
-            return (self.rank - self.invertibles) // 2
-        return (self.adjoint_rank - self.adjoint_invertibles) // 2
+        layer_rank = self.rank if self.adjoint_rank is None else self.adjoint_rank
+        return (layer_rank - self.layer_invertibles) // 2
 
     @property
     def perfect(self) -> bool:
         """Whether the category has only the trivial invertible (|G(C)| = 1)."""
         return self.invertibles == 1
-
-    @property
-    def t(self) -> int:
-        return self.dmin ** 2
 
     @property
     def dmin(self) -> int:
@@ -134,7 +122,11 @@ class DimSolution:
     fpdim: int
     invertibles: int
     dims: tuple[int, ...]
-    quotients: tuple[int, ...]
+
+    @property
+    def quotients(self) -> tuple[int, ...]:
+        """m_i = fpdim / d_i^2 (rounded down; `validate_solution` checks it is exact)."""
+        return tuple(self.fpdim // (d * d) for d in self.dims)
 
     def sort_key(self):
         return (-self.fpdim, tuple(-d for d in self.dims))
@@ -184,21 +176,13 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
             require(d >= 15 and not is_prime_power(d), "perfect-layer dim")
 
 
-def _m1_upper_bound_holds(m1: int, params: SearchParams) -> bool:
-    # m1 <= g*(2k + s/t), compared exactly: m1*t <= g*(2k*t + s)
-    g = params.group_order
-    return m1 * params.t <= g * (2 * params.k * params.t + params.layer_invertibles)
-
-
 def m1_candidates(params: SearchParams) -> list[int]:
     """All admissible first quotients m_1, ascending."""
     lo = max(params.invertibles, params.min_m1)
     first = lo + (-(lo - params.rank)) % 8
-    out = []
-    m1 = first
-    while _m1_upper_bound_holds(m1, params):
-        out.append(m1)
-        m1 += 8
+    g, k, s, t = params.group_order, params.k, params.layer_invertibles, params.dmin ** 2
+    # m1 <= g*(2k + s/t), compared exactly: m1 <= g*(2k*t + s) // t
+    out = list(range(first, g * (2 * k * t + s) // t + 1, 8))
     if params.m1_square:
         out = [m for m in out if isqrt_exact(m)[1]]
     if params.m1_exclude:
@@ -236,8 +220,7 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
     dims = tuple(dims)
     if params.min_run is not None and not _min_run_ok(dims, params.min_run):
         return None
-    quotients = tuple(w * u * u for u in us)
-    return DimSolution(fpdim, params.layer_invertibles, dims, quotients)
+    return DimSolution(fpdim, params.layer_invertibles, dims)
 
 
 class _Engine:
@@ -313,7 +296,7 @@ class _Engine:
         self.w = w
         self.s = params.layer_invertibles
         self.g = params.group_order
-        self.t = params.t
+        self.t = params.dmin ** 2
         self.k = params.k
         self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0

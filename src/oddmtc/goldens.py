@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .dimsearch import (DimSolution, Mode, RowDiff, SearchParams, diff_rows,
+from .dimsearch import (DimSolution, RowDiff, SearchParams, diff_rows,
                         enumerate_solutions, validate_solution)
 from .filters import fixed_dim_multiplicity_filter
 
@@ -54,18 +54,15 @@ def _parse_factored(text: str) -> int:
 
 def _params_from_manifest(entry: dict) -> SearchParams:
     pred = dict(entry.get("predicates", {}))
-    kwargs = dict(
+    if "m1_exclude" in pred:
+        pred["m1_exclude"] = frozenset(pred["m1_exclude"])
+    return SearchParams(
         rank=entry["rank"],
         invertibles=entry["invertibles"],
-        mode=Mode(entry["mode"]),
+        adjoint_rank=entry.get("adjoint_rank"),
+        adjoint_invertibles=entry["layer_invertibles"] if "adjoint_rank" in entry else None,
+        **pred,
     )
-    if entry["mode"] == "adjoint":
-        kwargs["adjoint_rank"] = entry["adjoint_rank"]
-        kwargs["adjoint_invertibles"] = entry["layer_invertibles"]
-    if "m1_exclude" in pred:
-        kwargs["m1_exclude"] = frozenset(pred.pop("m1_exclude"))
-    kwargs.update(pred)
-    return SearchParams(**kwargs)
 
 
 def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
@@ -75,6 +72,15 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
             f"{table_id}: checksum mismatch (expected {entry['sha256']}, got {digest})"
         )
     params = _params_from_manifest(entry)
+    derived = {"mode": "basic" if params.adjoint_rank is None else "adjoint",
+               "group_order": params.group_order,
+               "layer_invertibles": params.layer_invertibles,
+               "pairs": params.k}
+    for key, value in derived.items():
+        if entry[key] != value:
+            raise GoldenDataError(
+                f"{table_id}: manifest {key} {entry[key]!r} disagrees with its search ({value!r})"
+            )
     reader = csv.reader(io.StringIO(raw.decode("utf-8")))
     header = next(reader)
     if header[:2] != ["fpdim", "s"]:
@@ -84,13 +90,10 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
         fpdim = int(record[0])
         s = int(record[1])
         dims = tuple(int(x) for x in record[2:])
-        quotients = []
         for d in dims:
-            m, r = divmod(fpdim, d * d)
-            if r:
+            if fpdim % (d * d):
                 raise GoldenDataError(f"{table_id}: {fpdim} not divisible by {d}^2")
-            quotients.append(m)
-        rows.append(DimSolution(fpdim, s, dims, tuple(quotients)))
+        rows.append(DimSolution(fpdim, s, dims))
     if len(rows) != entry["rows"]:
         raise GoldenDataError(
             f"{table_id}: expected {entry['rows']} rows, found {len(rows)}"

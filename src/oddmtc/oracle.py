@@ -8,7 +8,8 @@ with the recursive engine.  A row needs R = root_part(fpdim) >= dim_floor
 (every dim d has d^2 | fpdim) and k*R^2 >= half, i.e. fpdim <= g*(2k*R^2 + s).
 So the candidates are R^2 * j over odd R >= dim_floor, j = rank (mod 8) as
 R^2 = 1 (mod 8), up to that cap.  The cap grows with R and root_part(R^2 * j)
-is a multiple of R, so this set is exactly what the cut passes.
+is a multiple of R, so this set is exactly what the cut passes.  As
+root_part(R^2 * j) = R * root_part(j), only j is factored.
 """
 
 from __future__ import annotations
@@ -41,26 +42,28 @@ def oracle_enumerate(params: SearchParams, fpdim_bound: int) -> list[DimSolution
     dim_floor = 15 if perfect else 3
 
     out = []
-    for fpdim in _candidate_fpdims(params, fpdim_bound):
-        out.extend(_solve_fpdim(fpdim, s, g, k, perfect, dim_floor, params))
+    for fpdim, root in _candidate_fpdims(params, fpdim_bound):
+        out.extend(_solve_fpdim(fpdim, root, s, g, k, perfect, dim_floor, params))
     return sorted(out, key=DimSolution.sort_key)
 
 
-def _candidate_fpdims(params: SearchParams, bound: int) -> list[int]:
+def _candidate_fpdims(params: SearchParams, bound: int) -> list[tuple[int, int]]:
     """Every fpdim = rank (mod 8), <= bound, that `_solve_fpdim`'s first cut
-    (root_part >= dim_floor and k * root_part^2 >= half) can pass."""
+    (root_part >= dim_floor and k * root_part^2 >= half) can pass, ascending,
+    each paired with the first odd R >= dim_floor that gives it as R^2 * j."""
     g, k, s = params.group_order, params.k, params.layer_invertibles
-    out = set()
+    out = {}
     root = 15 if params.perfect else 3  # dim_floor
     while root * root <= bound:
         r2 = root * root
         top = min(bound, g * (2 * k * r2 + s)) // r2
-        out.update(r2 * j for j in range(params.rank % 8, top + 1, 8))
+        for j in range(params.rank % 8, top + 1, 8):
+            out.setdefault(r2 * j, root)
         root += 2
-    return sorted(out)
+    return sorted(out.items())
 
 
-def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, params):
+def _solve_fpdim(fpdim, root, s, g, k, perfect, dim_floor, params):
     if fpdim % g != 0:
         return []
     layer = fpdim // g
@@ -68,8 +71,9 @@ def _solve_fpdim(fpdim, s, g, k, perfect, dim_floor, params):
     if target < 2 * k * dim_floor * dim_floor or target % 2 != 0:
         return []
     half = target // 2  # sum of k squared dims
-    # every dim must satisfy d^2 | fpdim, so d divides the square-root part
-    root_part = squarefree_split(fpdim)[0]
+    # every dim must satisfy d^2 | fpdim, so d divides the square-root part;
+    # root^2 divides fpdim, and root_part(root^2 * j) = root * root_part(j)
+    root_part = root * squarefree_split(fpdim // (root * root))[0]
     # _pick's own first cut: no d exceeds root_part
     if k * root_part * root_part < half:
         return []
@@ -91,8 +95,7 @@ def compare(search_out, oracle_out, fpdim_bound: int) -> RowDiff:
 def _pick(divs, idx, need, budget, acc, sols, fpdim, s, params):
     if need == 0:
         if budget == 0:
-            dims = tuple(acc)
-            sol = DimSolution(fpdim, s, dims, tuple(fpdim // (d * d) for d in dims))
+            sol = DimSolution(fpdim, s, tuple(acc))
             if _predicates_ok(sol, params):
                 sols.append(sol)
         return

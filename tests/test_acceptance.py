@@ -12,7 +12,6 @@ import pytest
 from oddmtc import cli, filters, goldens, oracle
 from oddmtc.dimsearch import (
     DimSolution,
-    Mode,
     SearchParams,
     enumerate_solutions,
     validate_solution,
@@ -142,7 +141,7 @@ class TestCriterion8FilterChain:
     def test_chain(self):
         case = GradingCase((19, 3, 3), 25, 3)
         sols = {
-            i: DimSolution(f, 3, d, tuple(f // (x * x) for x in d))
+            i: DimSolution(f, 3, d)
             for i, (f, d) in enumerate(T1_ROWS, start=1)
         }
         with timed(10):

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 from oddmtc import filters, oracle
 from oddmtc.dimsearch import (
     DimSolution,
-    Mode,
     SearchParams,
     _Engine,
     _finish,
@@ -33,9 +32,9 @@ RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
 PLANT_PARAMS = [
     SearchParams(rank=25, invertibles=3),
     SearchParams(rank=23, invertibles=1),
-    SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=29,
+    SearchParams(rank=49, invertibles=5, adjoint_rank=29,
                  adjoint_invertibles=5),
-    SearchParams(rank=45, invertibles=15, mode=Mode.ADJOINT, adjoint_rank=15,
+    SearchParams(rank=45, invertibles=15, adjoint_rank=15,
                  adjoint_invertibles=3),
 ]
 
@@ -48,7 +47,7 @@ def next_level(
     mi_coprime is tested on the quotient w*u_next^2."""
     s = params.layer_invertibles
     # u^2 <= s*u_prev^2/(t*c_prev) + 2*remaining*u_prev^2/c_prev
-    upper = (Fraction(s, params.t) + 2 * remaining) * u_prev * u_prev / c_prev
+    upper = (Fraction(s, params.dmin ** 2) + 2 * remaining) * u_prev * u_prev / c_prev
     out = []
     u = u_prev
     while u * u <= upper:
@@ -120,26 +119,25 @@ def _final_pick_reference(eng: _Engine, Q: int, l: int, u: int, path,
 class TestSearchParams:
     def test_basic_derived(self):
         p = SearchParams(rank=25, invertibles=3)
-        assert (p.layer_invertibles, p.group_order, p.k, p.perfect, p.t) == (3, 1, 11, False, 9)
-        assert p.dmin == 3
+        assert (p.layer_invertibles, p.group_order, p.k, p.perfect, p.dmin) == (3, 1, 11, False, 3)
 
     def test_perfect_derived(self):
         p = SearchParams(rank=23, invertibles=1)
-        assert (p.k, p.perfect, p.t, p.dmin) == (11, True, 225, 15)
+        assert (p.k, p.perfect, p.dmin) == (11, True, 15)
 
     def test_adjoint_derived(self):
-        p = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
-                         adjoint_rank=29, adjoint_invertibles=5)
+        p = SearchParams(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=5)
         assert (p.layer_invertibles, p.group_order, p.k) == (5, 5, 12)
+        # T6: the given pair, not rank 45 and 3 invertibles, sets k
+        p = SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3)
+        assert (p.layer_invertibles, p.group_order, p.k) == (3, 3, 6)
 
     @pytest.mark.parametrize("kwargs", [
         dict(rank=24, invertibles=3),
         dict(rank=25, invertibles=4),
         dict(rank=25, invertibles=25),
         dict(rank=25, invertibles=3, min_m1=0),
-        dict(rank=49, invertibles=5, mode=Mode.ADJOINT),
-        dict(rank=49, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=29,
-             adjoint_invertibles=29),
+        dict(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=29),
         dict(rank=25, invertibles=3, min_run=1),
         dict(rank=25, invertibles=3, min_run=0),
         dict(rank=25, invertibles=3, min_run=-1),
@@ -147,17 +145,16 @@ class TestSearchParams:
         dict(rank=25, invertibles=3, mi_coprime=0),
         dict(rank=25, invertibles=3, fpdim_bound=0),
         dict(rank=25, invertibles=3, fpdim_bound=-5),
-        dict(rank=5, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=15,
-             adjoint_invertibles=3),
-        dict(rank=5, invertibles=5, mode=Mode.ADJOINT, adjoint_rank=5,
-             adjoint_invertibles=3),
+        dict(rank=5, invertibles=5, adjoint_rank=15, adjoint_invertibles=3),
+        dict(rank=5, invertibles=5, adjoint_rank=5, adjoint_invertibles=3),
+        dict(rank=49, invertibles=5, adjoint_rank=29),
+        dict(rank=49, invertibles=5, adjoint_invertibles=5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SearchParams(**kwargs)
 
     @given(rank=st.integers(-3, 60), invertibles=st.integers(-3, 60),
-           mode=st.sampled_from(Mode),
            adjoint_rank=st.none() | st.integers(-3, 60),
            adjoint_invertibles=st.none() | st.integers(-3, 60),
            min_m1=st.integers(-2, 30),
@@ -168,8 +165,8 @@ class TestSearchParams:
     def test_rejects_exactly_invalid_kwargs(self, **kwargs):
         rank, s = kwargs["rank"], kwargs["invertibles"]
         ar, ai = kwargs["adjoint_rank"], kwargs["adjoint_invertibles"]
-        if kwargs["mode"] is Mode.BASIC:
-            # the adjoint kwargs are ignored
+        # each of the pair is drawn present or absent; half a pair is invalid
+        if ar is None and ai is None:
             layer_invalid, k = False, (rank - s) // 2
         else:
             layer_invalid = (ar is None or ai is None or ai < 1
@@ -197,24 +194,22 @@ class TestM1Candidates:
         assert m1_candidates(SearchParams(rank=3, invertibles=1)) == []
 
     def test_adjoint(self):
-        p = SearchParams(rank=35, invertibles=3, mode=Mode.ADJOINT,
-                         adjoint_rank=17, adjoint_invertibles=3)
+        p = SearchParams(rank=35, invertibles=3, adjoint_rank=17, adjoint_invertibles=3)
         assert m1_candidates(p) == [3, 11, 19, 27, 35, 43]
 
     def test_predicates(self):
-        p = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
-                         adjoint_rank=29, adjoint_invertibles=5)
+        p = SearchParams(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=5)
         base = m1_candidates(p)
-        squares = m1_candidates(SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
+        squares = m1_candidates(SearchParams(rank=49, invertibles=5,
                                              adjoint_rank=29, adjoint_invertibles=5,
                                              m1_square=True))
         assert set(squares) <= set(base)
         assert all(int(m**0.5 + 0.5) ** 2 == m for m in squares)
-        excl = m1_candidates(SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
+        excl = m1_candidates(SearchParams(rank=49, invertibles=5,
                                           adjoint_rank=29, adjoint_invertibles=5,
                                           m1_square=True, m1_exclude=frozenset({49})))
         assert set(squares) - set(excl) == {49}
-        cop = m1_candidates(SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
+        cop = m1_candidates(SearchParams(rank=49, invertibles=5,
                                          adjoint_rank=29, adjoint_invertibles=5,
                                          mi_coprime=5))
         assert all(m % 5 for m in cop)
@@ -515,10 +510,10 @@ class TestState:
             "rank33-bound": SearchParams(rank=33, invertibles=3, fpdim_bound=10**6),
             "rank41-min_run5-bound": SearchParams(rank=41, invertibles=5, min_run=5,
                                                   fpdim_bound=10**6),
-            "adjoint21-min_run2": SearchParams(rank=21, invertibles=3, mode=Mode.ADJOINT,
+            "adjoint21-min_run2": SearchParams(rank=21, invertibles=3,
                                                adjoint_rank=7, adjoint_invertibles=3,
                                                min_run=2),
-            "adjoint15": SearchParams(rank=15, invertibles=3, mode=Mode.ADJOINT,
+            "adjoint15": SearchParams(rank=15, invertibles=3,
                                       adjoint_rank=5, adjoint_invertibles=3),
         }[case]
         g = params.group_order
@@ -570,8 +565,7 @@ class TestEnumerateSolutions:
         assert sols[0].dims == (15, 15, 15, 15, 15, 5, 5, 5, 3, 3, 3, 3)
 
     def test_adjoint_rank45(self):
-        p = SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
-                         adjoint_rank=15, adjoint_invertibles=3)
+        p = SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3)
         sols = enumerate_solutions(p)
         assert [(s.fpdim, s.dims) for s in sols] == [
             (2925, (15, 15, 3, 3, 3, 3)),
@@ -608,8 +602,7 @@ class TestEnumerateSolutions:
         elif case == "rank27":
             p = RANK27
         elif case == "adjoint45":
-            p = SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
-                             adjoint_rank=15, adjoint_invertibles=3)
+            p = SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3)
         elif case == "T4-min_run3":
             p = replace(golden_tables["T4"].params, min_run=3)
         else:
@@ -633,8 +626,7 @@ class TestDiffRows:
 
 class TestValidateSolution:
     def test_full_multiset(self):
-        sol = DimSolution(441, 3, (7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3),
-                          tuple(441 // (d * d) for d in (7,) * 3 + (3,) * 8))
+        sol = DimSolution(441, 3, (7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3))
         ms = filters.full_multiset(sol.dims, sol.invertibles)
         assert len(ms) == 25
         assert sum(d * d for d in ms) == sol.fpdim == 441
@@ -647,11 +639,11 @@ class TestValidateSolution:
     def test_tampered_rows_rejected(self, golden_tables):
         t1 = golden_tables["T1"]
         row = t1.rows[0]
-        bad_fpdim = DimSolution(row.fpdim + 8, row.invertibles, row.dims, row.quotients)
+        bad_fpdim = DimSolution(row.fpdim + 8, row.invertibles, row.dims)
         with pytest.raises(InvariantError):
             validate_solution(bad_fpdim, t1.params)
         bad_dims = DimSolution(row.fpdim, row.invertibles,
-                               row.dims[:-1] + (row.dims[-1] + 2,), row.quotients)
+                               row.dims[:-1] + (row.dims[-1] + 2,))
         with pytest.raises(InvariantError):
             validate_solution(bad_dims, t1.params)
 

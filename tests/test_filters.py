@@ -17,7 +17,7 @@ RANK25_CASE = GradingCase((19, 3, 3), 25, 3)
 
 def t1_solution(row_number: int) -> DimSolution:
     fpdim, dims = T1_ROWS[row_number - 1]
-    return DimSolution(fpdim, 3, dims, tuple(fpdim // (d * d) for d in dims))
+    return DimSolution(fpdim, 3, dims)
 
 
 class TestFixedDimMultiplicity:
@@ -33,7 +33,7 @@ class TestFixedDimMultiplicity:
         assert not filters.fixed_dim_multiplicity_filter(t1_solution(34), 3).discard
 
     def test_p_divisible_values_unconstrained(self):
-        sol = DimSolution(99, 1, (3,), (11,))
+        sol = DimSolution(99, 1, (3,))
         assert not filters.fixed_dim_multiplicity_filter(sol, 3).discard
 
 
@@ -150,7 +150,7 @@ class TestPacking:
         assert not filters.component_packing_feasible(t1_solution(34), RANK25_CASE).discard
 
     def test_infeasible_by_divisibility(self):
-        sol = DimSolution(25, 1, (3,), (25 // 9,))
+        sol = DimSolution(25, 1, (3,))
         case = GradingCase((1, 1, 1), 3, 3)
         # 3 does not divide 25
         assert filters.component_packing_feasible(sol, case).discard
@@ -158,7 +158,7 @@ class TestPacking:
     def test_infeasible_by_partition(self):
         # fpdim 75, rank-1 components need a single object of squared dim 25,
         # but the multiset holds only dims 3 and 1
-        sol = DimSolution(75, 3, (3, 3, 3, 3), ())
+        sol = DimSolution(75, 3, (3, 3, 3, 3))
         case = GradingCase((9, 1, 1), 11, 3)
         assert filters.component_packing_feasible(sol, case).discard
 
@@ -210,9 +210,9 @@ class TestNumberTheoryFilters:
 
     def test_semidirect_model(self):
         assert filters.semidirect_model(t1_solution(34), RANK25_CASE).verdict is Verdict.PASS
-        assert filters.semidirect_model(DimSolution(3**2 * 5**4, 3, (), ())) is None
-        assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, (), ())) is None
-        assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, (), ())) is None
+        assert filters.semidirect_model(DimSolution(3**2 * 5**4, 3, ())) is None
+        assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, ())) is None
+        assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, ())) is None
 
 
 class TestFullMultiset:

@@ -4,7 +4,6 @@ from importlib import resources
 import pytest
 
 from oddmtc import goldens
-from oddmtc.dimsearch import Mode
 
 
 EXPECTED_ROW_COUNTS = {
@@ -28,9 +27,11 @@ class TestLoadGoldens:
 
     def test_params_reconstructed(self, golden_tables):
         t8 = golden_tables["T8"].params
-        assert t8.mode is Mode.ADJOINT
         assert (t8.rank, t8.invertibles, t8.adjoint_rank, t8.adjoint_invertibles) == (49, 5, 29, 5)
+        assert (t8.group_order, t8.layer_invertibles, t8.k) == (5, 5, 12)
         assert (t8.min_m1, t8.m1_square, t8.min_run) == (25, True, 5)
+        t1 = golden_tables["T1"].params
+        assert (t1.adjoint_rank, t1.adjoint_invertibles) == (None, None)
         t7 = golden_tables["T7"].params
         assert t7.m1_exclude == frozenset({49})
         assert t7.mi_coprime == 5
@@ -56,6 +57,24 @@ class TestLoadGoldens:
         tampered = dict(entry, fpdim_factored=["3^2*5^2*17"] + entry["fpdim_factored"][1:])
         with pytest.raises(goldens.GoldenDataError, match="factored"):
             goldens._load_table("T2", tampered, raw)
+
+    @pytest.mark.parametrize("table_id, key, value", [
+        ("T8", "mode", "basic"),
+        ("T1", "mode", "adjoint"),
+        ("T8", "group_order", 1),
+        ("T1", "group_order", 3),
+        ("T1", "layer_invertibles", 5),
+        ("T8", "pairs", 22),
+        ("T1", "pairs", 12),
+    ])
+    def test_redundant_manifest_keys_checked(self, table_id, key, value):
+        """mode, group_order, layer_invertibles and pairs restate what the
+        search parameters give; a manifest entry that disagrees is rejected
+        before any row is read."""
+        entry, raw = _entry_and_raw(table_id)
+        goldens._load_table(table_id, entry, raw)
+        with pytest.raises(goldens.GoldenDataError, match=key):
+            goldens._load_table(table_id, dict(entry, **{key: value}), raw)
 
     def test_unknown_post_filter_rejected_at_load(self):
         entry, raw = _entry_and_raw("T5")

@@ -1,7 +1,7 @@
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (DimSolution, Mode, SearchParams, _Engine,
+from oddmtc.dimsearch import (DimSolution, SearchParams, _Engine,
                                enumerate_solutions, validate_solution)
 from oddmtc.exactmath import squarefree_split
 
@@ -20,7 +20,7 @@ class TestOracleEnumerate:
         assert len(rows) == 16  # the rank-25 arrays with fpdim below 1e6
 
     def test_matches_search_adjoint(self):
-        params = SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
+        params = SearchParams(rank=45, invertibles=3,
                               adjoint_rank=15, adjoint_invertibles=3, fpdim_bound=10**5)
         rows = check_equivalence(params, 10**5)
         assert [r.fpdim for r in rows] == [2925, 333]
@@ -39,8 +39,7 @@ class TestOracleEnumerate:
         assert len(check_equivalence(params, 10**6)) == size
 
     def test_matches_search_min_run(self):
-        params = SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
-                              adjoint_rank=29, adjoint_invertibles=5,
+        params = SearchParams(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=5,
                               min_m1=25, m1_square=True, min_run=5,
                               fpdim_bound=10**6)
         # one of these rows, above 10^5, ends in a forced min-run tail
@@ -69,7 +68,7 @@ class TestOracleEnumerate:
             for ai in (3, 9, 15, 25):
                 for run in (None, 2, 3, 4, 5):
                     ar = ai + 2 * (run or 1)
-                    params = SearchParams(rank=gc * ar, invertibles=gc, mode=Mode.ADJOINT,
+                    params = SearchParams(rank=gc * ar, invertibles=gc,
                                           adjoint_rank=ar, adjoint_invertibles=ai,
                                           min_run=run, fpdim_bound=10**5)
                     total += len(check_equivalence(params, 10**5))
@@ -93,16 +92,15 @@ class TestOracleEnumerate:
 
 class TestCandidateFpdims:
     """`_candidate_fpdims` is exactly the set of fpdim values that pass the
-    root-part cut of `_solve_fpdim`, here defined by brute force."""
+    root-part cut of `_solve_fpdim`, here defined by brute force, each with
+    an odd R >= dim_floor whose square divides it."""
 
     @pytest.mark.parametrize("params, size", [
         (SearchParams(rank=25, invertibles=3), 194),
         (SearchParams(rank=25, invertibles=1), 182),
         # only g > 1 catches a cap without the group order
-        (SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
-                      adjoint_rank=15, adjoint_invertibles=3), 176),
-        (SearchParams(rank=49, invertibles=5, mode=Mode.ADJOINT,
-                      adjoint_rank=29, adjoint_invertibles=5), 361),
+        (SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3), 176),
+        (SearchParams(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=5), 361),
     ])
     def test_equals_brute_definition(self, params, size):
         bound = 10 ** 5
@@ -113,8 +111,11 @@ class TestCandidateFpdims:
             rp = squarefree_split(fpdim)[0]
             if rp >= floor and fpdim <= g * (2 * k * rp * rp + s):
                 want.append(fpdim)
-        assert oracle._candidate_fpdims(params, bound) == want
+        got = oracle._candidate_fpdims(params, bound)
+        assert [fpdim for fpdim, _ in got] == want
         assert len(want) == size
+        for fpdim, root in got:
+            assert root % 2 == 1 and root >= floor and fpdim % (root * root) == 0, fpdim
 
     def test_empty_below_floor_squared(self):
         assert oracle._candidate_fpdims(SearchParams(rank=25, invertibles=1), 15 ** 2 - 1) == []
@@ -122,14 +123,14 @@ class TestCandidateFpdims:
 
 class TestSolveFpdimFirstCut:
     """`_solve_fpdim` returns early when k * root_part^2 < half; `_pick` run
-    on the full divisor list must agree at every fpdim = rank (mod 8), and
+    on the full divisor list must agree at every fpdim = rank (mod 8), given
+    any odd R with R^2 | fpdim, and
     `oracle_enumerate`, which visits only the candidates, must return what
     this full loop returns."""
 
     @pytest.mark.parametrize("params, bound", [
         (SearchParams(rank=25, invertibles=3), 10 ** 5),
-        (SearchParams(rank=45, invertibles=3, mode=Mode.ADJOINT,
-                      adjoint_rank=15, adjoint_invertibles=3), 10 ** 5),
+        (SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3), 10 ** 5),
     ])
     def test_equals_pick_on_full_divisors(self, params, bound):
         s, g, k = params.layer_invertibles, params.group_order, params.k
@@ -138,14 +139,16 @@ class TestSolveFpdimFirstCut:
         for fpdim in range(params.rank % 8, bound + 1, 8):
             want = []
             layer, r = divmod(fpdim, g)
+            root_part = squarefree_split(fpdim)[0]
             if not r and (layer - s) % 2 == 0:
-                divisors = [d for d in oracle._odd_divisors_at_least(
-                                squarefree_split(fpdim)[0], floor)
+                divisors = [d for d in oracle._odd_divisors_at_least(root_part, floor)
                             if (fpdim // (d * d)) % 2 == 1]
                 oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, s, params)
-            got = oracle._solve_fpdim(fpdim, s, g, k, params.perfect, floor, params)
-            assert got == want, fpdim
-            rows.extend(got)
+            # every odd R with R^2 | fpdim gives the same root part
+            for root in oracle._odd_divisors_at_least(root_part, 1):
+                got = oracle._solve_fpdim(fpdim, root, s, g, k, params.perfect, floor, params)
+                assert got == want, (fpdim, root)
+            rows.extend(want)
         assert rows
         assert oracle.oracle_enumerate(params, bound) == sorted(rows, key=DimSolution.sort_key)
 
