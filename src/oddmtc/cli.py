@@ -288,7 +288,7 @@ def cmd_verify_goldens(args, out) -> int:
     for table in tables:
         diff = goldens.verify(table, jobs=args.jobs)
         if diff.empty:
-            out.write(f"{table.table_id}: match ({table.row_count} rows)\n")
+            out.write(f"{table.table_id}: match ({len(table.rows)} rows)\n")
         else:
             failures.append(diff)
             out.write(f"{table.table_id}: MISMATCH "
@@ -301,7 +301,7 @@ def cmd_verify_goldens(args, out) -> int:
 def cmd_oracle_check(args, out) -> int:
     params = _params_from_args(args)  # --fpdim-bound defaults to 10^6 here
     search = enumerate_solutions(params, jobs=args.jobs)
-    reference = oracle.oracle_enumerate(params, params.fpdim_bound)
+    reference = oracle.oracle_enumerate(params)
     diff = oracle.compare(search, reference, params.fpdim_bound)
     if diff.empty:
         out.write(f"match: {len(reference)} solutions with fpdim <= {params.fpdim_bound}\n")

@@ -270,9 +270,10 @@ class _Engine:
     four exact steps ("the sweep": the 57 (rank, s) pairs of the oracle
     sweep at bound 10^6, on 2 cores with Python 3.11):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 5.3-5.9 s with it and 16-19 s without.
-      A state that passes has `top` <= Dmax // dmin, and a child it would
-      cut is cut when popped.
+      state: the sweep's searches take 2.1-2.4 s of CPU with it and 2.8-3.2 s
+      without, all 114 pairs 3.8-5.3 s and 5.5-7.0 s (4 alternating runs
+      each).  A state that passes has `top` <= Dmax // dmin, and a child it
+      would cut is cut when popped.
     * the D = l close: D is an odd multiple of l, so Dmax < 3l gives D = l,
       and `final_pick` closes the state (rem >= 1) with no child scan.  Each
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
@@ -281,8 +282,8 @@ class _Engine:
       The sweep's searches take 2.0-2.8 s with it and 3.4-4.6 s without.
     * the lcm cap, the only bounded filter in `children`, which now sees
       only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
-      skipped unless r <= Dmax // l.  Without it the sweep did not finish in
-      900 s.
+      skipped unless r <= Dmax // l.  Without it the sweep's searches took 88
+      and 93 s of CPU.
     * `_finish` drops fpdim > bound: that test defines the bound, and it is
       the only bound test on the rows of `final_node`, `final_chain` and
       `final_pick`.
@@ -355,11 +356,12 @@ class _Engine:
     def final_pick(self, Q: int, l: int, u: int, path, rem: int) -> None:
         """Close a bounded state with D = l: every later d_j = l/u_j is an odd
         divisor of l in [dmin, l/u], and their squares sum to exactly
-        H = (Q - g*s)/2g.  Picks each nonincreasing run of rem of them,
+        H = (Q - g*s)/2g.  Every d_j is odd, so d_j^2 = 1 (mod 8) and
+        H = rem (mod 8).  Picks each nonincreasing run of rem of them,
         a divisor and its count at a time, largest divisor first."""
         g = self.g
         H, odd = divmod(Q - g * self.s, 2 * g)
-        if odd or H < rem * self.dmin ** 2:
+        if odd or (H - rem) % 8 or H < rem * self.dmin ** 2:
             return
         divs = [l // v for v in range(u, l // self.dmin + 1, 2)
                 if l % v == 0 and not (self.cop and self.w * v * v % self.cop == 0)]

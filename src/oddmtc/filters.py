@@ -51,13 +51,6 @@ class FilterVerdict:
         return self.verdict is Verdict.DISCARD
 
 
-def full_multiset(dims, invertibles: int) -> list[int]:
-    out = [1] * invertibles
-    for d in dims:
-        out.extend((d, d))
-    return sorted(out, reverse=True)
-
-
 def p_batch_violation(dims, p: int) -> tuple[int, int] | None:
     """The p-batch rule: under an order-p symmetry, the non-fixed dual pairs
     of each dim value come in batches of p, and a fixed pair's dim is
@@ -123,10 +116,10 @@ def outside_dim_uniformity(solution, case) -> FilterVerdict | None:
     rank p, the p(p-1) objects outside the adjoint part share one dim
     d with fpdim = p^2 * d^2.  None (no verdict) for any other case."""
     p = case.invertibles
-    odd = case.odd_multiplicity_ranks()
-    non_adjoint_all_p = len(odd) == 1 and all(
-        r == p for r in case.component_ranks if r != odd[0]
-    ) and case.rank_multiplicities()[p] >= p - 1
+    adjoint = case.adjoint_rank
+    non_adjoint_all_p = adjoint is not None and all(
+        r == p for r in case.component_ranks if r != adjoint
+    ) and case.component_ranks.count(p) >= p - 1
     if not is_prime(p) or not non_adjoint_all_p:
         return None
     q, r = divmod(solution.fpdim, p * p)
@@ -161,21 +154,16 @@ def component_packing_feasible(solution, case) -> FilterVerdict:
             detail="invertible count does not divide fpdim",
         )
     target = solution.fpdim // n_bins
-    objects = full_multiset(solution.dims, solution.invertibles)
-    sizes = sorted(case.component_ranks, reverse=True)
-    if _pack(tuple(objects), tuple(sizes), target):
+    # two objects per dual pair, and the invertibles as dim 1
+    pairs = Counter(solution.dims)
+    objects = pairs + pairs + Counter({1: solution.invertibles})
+    sizes = case.component_ranks
+    if _pack_bins(tuple(sorted(objects.items(), reverse=True)), sizes, 0, target, None):
         return FilterVerdict(Verdict.PASS, "component-packing", CITE_PACKING)
     return FilterVerdict(
         Verdict.DISCARD, "component-packing", CITE_PACKING,
-        detail=f"no partition into components of ranks {sizes} with fpdim {target} each",
+        detail=f"no partition into components of ranks {list(sizes)} with fpdim {target} each",
     )
-
-
-def _pack(objects: tuple[int, ...], sizes: tuple[int, ...], target: int) -> bool:
-    if not sizes:
-        return not objects
-    counts = tuple(sorted(Counter(objects).items(), reverse=True))
-    return _pack_bins(counts, sizes, 0, target, None, {})
 
 
 def _fills(counts, idx, size, budget, cap):
@@ -198,22 +186,16 @@ def _fills(counts, idx, size, budget, cap):
             yield (take,) + rest
 
 
-def _pack_bins(counts, sizes, bin_idx, target, prev_fill, memo):
+def _pack_bins(counts, sizes, bin_idx, target, prev_fill):
     if bin_idx == len(sizes):
         return all(avail == 0 for _, avail in counts)
-    key = (counts, bin_idx, prev_fill if bin_idx and sizes[bin_idx - 1] == sizes[bin_idx] else None)
-    if key in memo:
-        return memo[key]
     size = sizes[bin_idx]
     cap = prev_fill if bin_idx > 0 and sizes[bin_idx - 1] == size else None
-    ok = False
     for fill in _fills(counts, 0, size, target, cap):
         new_counts = tuple((v, a - t) for (v, a), t in zip(counts, fill))
-        if _pack_bins(new_counts, sizes, bin_idx + 1, target, fill, memo):
-            ok = True
-            break
-    memo[key] = ok
-    return ok
+        if _pack_bins(new_counts, sizes, bin_idx + 1, target, fill):
+            return True
+    return False
 
 
 def dual_product_feasible(available_dims, d: int) -> FilterVerdict:

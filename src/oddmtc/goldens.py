@@ -34,11 +34,7 @@ class GoldenTable:
     table_id: str
     params: SearchParams
     rows: tuple[DimSolution, ...]
-    post_filter: str | None = None
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
+    post_filter_p: int | None  # p of "fixed_dim_multiplicity:p"
 
 
 def _parse_factored(text: str) -> int:
@@ -103,16 +99,13 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
     for row in rows:
         validate_solution(row, params)
     post_filter = entry.get("post_filter")
+    post_filter_p = None
     if post_filter is not None:
         name, _, p = post_filter.partition(":")
         if name != "fixed_dim_multiplicity" or not p.isdigit():
             raise GoldenDataError(f"{table_id}: unknown post filter {post_filter}")
-    return GoldenTable(
-        table_id=table_id,
-        params=params,
-        rows=tuple(rows),
-        post_filter=post_filter,
-    )
+        post_filter_p = int(p)
+    return GoldenTable(table_id, params, tuple(rows), post_filter_p)
 
 
 def load_goldens() -> list[GoldenTable]:
@@ -131,10 +124,9 @@ def load_goldens() -> list[GoldenTable]:
 def search(table: GoldenTable, jobs: int = 1) -> list[DimSolution]:
     """The table's search: its SearchParams, then its post filter if it has one."""
     sols = enumerate_solutions(table.params, jobs=jobs)
-    if table.post_filter is None:
+    if table.post_filter_p is None:
         return sols
-    p = int(table.post_filter.partition(":")[2])
-    return [s for s in sols if not fixed_dim_multiplicity_filter(s, p).discard]
+    return [s for s in sols if not fixed_dim_multiplicity_filter(s, table.post_filter_p).discard]
 
 
 def verify(table: GoldenTable, jobs: int = 1) -> RowDiff:

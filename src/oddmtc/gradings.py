@@ -19,21 +19,26 @@ from .filters import FilterVerdict, Verdict
 @dataclass(frozen=True)
 class GradingCase:
     component_ranks: tuple[int, ...]  # sorted descending
-    rank: int
-    invertibles: int
 
     def __post_init__(self):
         ranks = self.component_ranks
-        require(len(ranks) == self.invertibles, "one component per invertible")
-        require(sum(ranks) == self.rank, "component ranks sum to the rank")
         require(list(ranks) == sorted(ranks, reverse=True), "component ranks descending")
         require(len({r % 8 for r in ranks}) == 1, "component ranks congruent mod 8")
 
-    def rank_multiplicities(self) -> Counter[int]:
-        return Counter(self.component_ranks)
+    @property
+    def invertibles(self) -> int:
+        """One component per invertible object."""
+        return len(self.component_ranks)
 
     def odd_multiplicity_ranks(self) -> list[int]:
-        return [r for r, c in self.rank_multiplicities().items() if c % 2 == 1]
+        return [r for r, c in Counter(self.component_ranks).items() if c % 2 == 1]
+
+    @property
+    def adjoint_rank(self) -> int | None:
+        """The adjoint component's rank: the unique rank of odd multiplicity,
+        None when there is not exactly one."""
+        odd = self.odd_multiplicity_ranks()
+        return odd[0] if len(odd) == 1 else None
 
 
 def invertible_count_candidates(rank: int) -> list[int]:
@@ -60,7 +65,7 @@ def enumerate_cases(rank: int, invertibles: int) -> list[GradingCase]:
         total = (rank - s * r) // 8
         for extra in _partitions_at_most(total, s):
             ranks = tuple(sorted((r + 8 * a for a in extra + (0,) * (s - len(extra))), reverse=True))
-            cases.append(GradingCase(ranks, rank, s))
+            cases.append(GradingCase(ranks))
     return sorted(cases, key=lambda c: c.component_ranks, reverse=True)
 
 
@@ -111,15 +116,13 @@ def filter_divisibility(case: GradingCase) -> FilterVerdict | None:
             CITE_DIVISIBILITY,
             detail=f"{len(nondiv)} components have rank not divisible by {p}",
         )
-    if len(nondiv) == 1:
-        odd = case.odd_multiplicity_ranks()
-        if len(odd) != 1 or nondiv[0] != odd[0]:
-            return FilterVerdict(
-                Verdict.DISCARD,
-                "component-divisibility",
-                CITE_DIVISIBILITY,
-                detail="the non-divisible component cannot be the adjoint component",
-            )
+    if len(nondiv) == 1 and nondiv[0] != case.adjoint_rank:
+        return FilterVerdict(
+            Verdict.DISCARD,
+            "component-divisibility",
+            CITE_DIVISIBILITY,
+            detail="the non-divisible component cannot be the adjoint component",
+        )
     return FilterVerdict(Verdict.PASS, "component-divisibility", CITE_DIVISIBILITY)
 
 
@@ -147,8 +150,7 @@ def filter_odd_multiplicity(case: GradingCase) -> FilterVerdict:
 def filter_adjoint_containment(case: GradingCase) -> FilterVerdict:
     """Every invertible lies in the adjoint component, so that component's
     rank must be at least the invertible count."""
-    odd = case.odd_multiplicity_ranks()
-    adjoint_rank = odd[0] if len(odd) == 1 else max(case.component_ranks)
+    adjoint_rank = case.adjoint_rank or max(case.component_ranks)
     if adjoint_rank < case.invertibles:
         return FilterVerdict(
             Verdict.DISCARD,

@@ -4,9 +4,9 @@ bounded instances.
 
 Visits only the fpdim values the first cut of `_solve_fpdim` can pass, and
 solves the layer equation at each directly by divisor search; shares no code
-with the recursive engine.  A row needs R = root_part(fpdim) >= dim_floor
+with the recursive engine.  A row needs R = root_part(fpdim) >= dmin
 (every dim d has d^2 | fpdim) and k*R^2 >= half, i.e. fpdim <= g*(2k*R^2 + s).
-So the candidates are R^2 * j over odd R >= dim_floor, j = rank (mod 8) as
+So the candidates are R^2 * j over odd R >= dmin, j = rank (mod 8) as
 R^2 = 1 (mod 8), up to that cap.  The cap grows with R and root_part(R^2 * j)
 is a multiple of R, so this set is exactly what the cut passes.  As
 root_part(R^2 * j) = R * root_part(j), only j is factored.
@@ -31,29 +31,26 @@ def _odd_divisors_at_least(n: int, lo: int) -> list[int]:
     return sorted(set(out), reverse=True)
 
 
-def oracle_enumerate(params: SearchParams, fpdim_bound: int) -> list[DimSolution]:
-    """All solutions with fpdim <= fpdim_bound, by direct search."""
-    if fpdim_bound < params.invertibles:
+def oracle_enumerate(params: SearchParams) -> list[DimSolution]:
+    """All solutions with fpdim <= params.fpdim_bound, by direct search."""
+    if params.fpdim_bound is None:
+        raise ValueError("the oracle needs an fpdim bound")
+    if params.fpdim_bound < params.invertibles:
         raise ValueError("bound below the invertible count")
-    s = params.layer_invertibles
-    g = params.group_order
-    k = params.k
-    perfect = params.perfect
-    dim_floor = 15 if perfect else 3
-
     out = []
-    for fpdim, root in _candidate_fpdims(params, fpdim_bound):
-        out.extend(_solve_fpdim(fpdim, root, s, g, k, perfect, dim_floor, params))
+    for fpdim, root in _candidate_fpdims(params):
+        out.extend(_solve_fpdim(fpdim, root, params))
     return sorted(out, key=DimSolution.sort_key)
 
 
-def _candidate_fpdims(params: SearchParams, bound: int) -> list[tuple[int, int]]:
-    """Every fpdim = rank (mod 8), <= bound, that `_solve_fpdim`'s first cut
-    (root_part >= dim_floor and k * root_part^2 >= half) can pass, ascending,
-    each paired with the first odd R >= dim_floor that gives it as R^2 * j."""
+def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
+    """Every fpdim = rank (mod 8), <= fpdim_bound, that `_solve_fpdim`'s first
+    cut (root_part >= dmin and k * root_part^2 >= half) can pass, ascending,
+    each paired with the first odd R >= dmin that gives it as R^2 * j."""
     g, k, s = params.group_order, params.k, params.layer_invertibles
+    bound = params.fpdim_bound
     out = {}
-    root = 15 if params.perfect else 3  # dim_floor
+    root = params.dmin
     while root * root <= bound:
         r2 = root * root
         top = min(bound, g * (2 * k * r2 + s)) // r2
@@ -63,12 +60,12 @@ def _candidate_fpdims(params: SearchParams, bound: int) -> list[tuple[int, int]]
     return sorted(out.items())
 
 
-def _solve_fpdim(fpdim, root, s, g, k, perfect, dim_floor, params):
+def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> list[DimSolution]:
+    g, k, dmin, perfect = params.group_order, params.k, params.dmin, params.perfect
     if fpdim % g != 0:
         return []
-    layer = fpdim // g
-    target = layer - s
-    if target < 2 * k * dim_floor * dim_floor or target % 2 != 0:
+    target = fpdim // g - params.layer_invertibles
+    if target < 2 * k * dmin * dmin or target % 2 != 0:
         return []
     half = target // 2  # sum of k squared dims
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part;
@@ -79,11 +76,11 @@ def _solve_fpdim(fpdim, root, s, g, k, perfect, dim_floor, params):
         return []
     divisors = [
         d
-        for d in _odd_divisors_at_least(root_part, dim_floor)
+        for d in _odd_divisors_at_least(root_part, dmin)
         if (fpdim // (d * d)) % 2 == 1 and not (perfect and is_prime_power(d))
     ]
     sols: list[DimSolution] = []
-    _pick(divisors, 0, k, half, [], sols, fpdim, s, params)
+    _pick(divisors, 0, k, half, [], sols, fpdim, params)
     return sols
 
 
@@ -92,10 +89,10 @@ def compare(search_out, oracle_out, fpdim_bound: int) -> RowDiff:
     return diff_rows(oracle_out, [r for r in search_out if r.fpdim <= fpdim_bound])
 
 
-def _pick(divs, idx, need, budget, acc, sols, fpdim, s, params):
+def _pick(divs, idx, need, budget, acc, sols, fpdim, params):
     if need == 0:
         if budget == 0:
-            sol = DimSolution(fpdim, s, tuple(acc))
+            sol = DimSolution(fpdim, params.layer_invertibles, tuple(acc))
             if _predicates_ok(sol, params):
                 sols.append(sol)
         return
@@ -116,7 +113,7 @@ def _pick(divs, idx, need, budget, acc, sols, fpdim, s, params):
         if rest < left * lo2:
             continue
         acc.extend([d] * take)
-        _pick(divs, idx + 1, left, rest, acc, sols, fpdim, s, params)
+        _pick(divs, idx + 1, left, rest, acc, sols, fpdim, params)
         if take:
             del acc[-take:]
 
@@ -131,7 +128,7 @@ def _predicates_ok(sol: DimSolution, params: SearchParams) -> bool:
         return False
     if params.mi_coprime and any(q % params.mi_coprime == 0 for q in sol.quotients):
         return False
-    if params.min_run and params.min_run > 1:
+    if params.min_run:
         counts = Counter(sol.dims)
         if max(counts.values()) < params.min_run:
             return False

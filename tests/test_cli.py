@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oddmtc import cli, dimsearch, gradings
-from oddmtc.dimsearch import SearchParams
+from oddmtc.dimsearch import DimSolution, RowDiff, SearchParams
 
 # Expected `classify` verdicts, ranks 17-49: D discarded, N needs manual
 # analysis, S surviving (pointed), A analyzed by a per-solution chain.
@@ -135,6 +135,28 @@ PAPER_CLAIMS = {
 # reviewed removal here; a cell discarded today must never reopen.
 PAPER_OPEN_CELLS = {(17, 3), (25, 5), (27, 3), (35, 3), (35, 9), (37, 3),
                     (43, 3), (43, 9), (45, 3), (47, 3)}
+
+
+RANK17_MD = """\
+# Classification report: rank 17
+
+Invertible-count candidates: [1, 3, 9, 17]
+
+## perfect (invertibles = 1): DISCARDED
+citations: rule:no-candidate-dimension-arrays
+the perfect-case search has no dimension arrays
+
+## graded (invertibles = 3): NEEDS_MANUAL_ANALYSIS
+structural chain not mechanized for this configuration
+- case {11, 3, 3}: SURVIVING
+
+## graded (invertibles = 9): DISCARDED
+citations: rule:pointed-part-needs-three-large-components
+- case {9, 1, 1, 1, 1, 1, 1, 1, 1}: DISCARDED [rule:pointed-part-needs-three-large-components]
+
+## pointed (invertibles = 17): SURVIVING
+
+"""
 
 
 def run(capsys, *argv):
@@ -267,6 +289,15 @@ class TestGradings:
         assert verdicts[(19, 11, 3)] == "DISCARDED"
         assert verdicts[(11, 11, 11)] == "DISCARDED"
 
+    def test_csv_apply_filters_rank33(self, capsys):
+        assert run(capsys, "gradings", "--rank", "33", "--invertibles", "3",
+                   "--apply-filters", "--format", "csv") == (0, (
+            "case,verdict,reasons\n"
+            "27 3 3,SURVIVING,\n"
+            "19 11 3,DISCARDED,rule:non-adjoint-component-ranks-divisible-by-p;"
+            "rule:unique-odd-multiplicity-component-rank\n"
+            "11 11 11,DISCARDED,rule:non-adjoint-component-ranks-divisible-by-p\n"))
+
     def test_discards_carry_citations(self, capsys):
         _, out = run(capsys, "gradings", "--rank", "33", "--invertibles", "3",
                      "--apply-filters", "--format", "json")
@@ -326,6 +357,24 @@ class TestClassify:
         assert trail == [cli._sol_record(r) for r in golden_tables["T1"].rows]
         assert hyp[41, 5]["solutions"] == [cli._sol_record(r) for r in golden_tables["T3"].rows]
 
+    def test_md_rank17(self, capsys):
+        assert run(capsys, "classify", "--rank", "17") == (0, RANK17_MD)
+
+    @pytest.mark.parametrize("rank, table_id, trail", [(25, "T1", True), (41, "T3", False)])
+    def test_md_lists_each_row(self, classify_reports, golden_tables, rank, table_id, trail):
+        """One `- fpdim` line per table row: with its status and last citation
+        under a chain (T1), bare for manual analysis (T3)."""
+        out = io.StringIO()
+        cli._emit_classify(classify_reports[rank], "md", out)
+        lines = [line for line in out.getvalue().splitlines() if line.startswith("- fpdim")]
+        rows = golden_tables[table_id].rows
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            head = f"- fpdim {row.fpdim} dims {list(row.dims)}"
+            assert line.startswith(head + ": ") if trail else line == head
+        if trail:
+            assert lines[-1].endswith(": SURVIVING [rule:semidirect-product-divisibility]")
+
     def test_rank_out_of_range(self, capsys):
         assert cli.main(["classify", "--rank", "15"]) == 2
         assert cli.main(["classify", "--rank", "51"]) == 2
@@ -352,6 +401,21 @@ class TestOracleCheck:
         assert default == run(capsys, *argv, "--fpdim-bound", "1000000")
         assert default == (0, "match: 1 solutions with fpdim <= 1000000\n")
         assert bounds == [10 ** 6, 10 ** 6]
+
+    def test_mismatch_report(self, capsys, monkeypatch):
+        extra = DimSolution(99999, 3, (3,) * 11)
+
+        def drop_first_add_extra(params, jobs=1):
+            return dimsearch.enumerate_solutions(params, jobs=jobs)[1:] + [extra]
+
+        monkeypatch.setattr(cli, "enumerate_solutions", drop_first_add_extra)
+        first = dimsearch.enumerate_solutions(SearchParams(rank=25, invertibles=3,
+                                                           fpdim_bound=10**5))[0]
+        assert run(capsys, "oracle-check", "--rank", "25", "--invertibles", "3",
+                   "--fpdim-bound", "100000") == (1, (
+            "MISMATCH: 1 missing, 1 extra\n"
+            f"  missing {first.fpdim} {list(first.dims)}\n"
+            "  extra 99999 [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]\n"))
 
     @pytest.mark.parametrize("bound", ["0", "-7"])
     def test_invalid_bound(self, capsys, bound):
@@ -395,3 +459,9 @@ class TestVerifyGoldens:
         assert "MISMATCH" in out
         assert "  missing " in out
         assert "0/8 tables match" in out
+
+    def test_reports_all_match(self, capsys, monkeypatch, golden_tables):
+        monkeypatch.setattr(cli.goldens, "verify", lambda table, jobs=1: RowDiff((), ()))
+        want = "".join(f"{tid}: match ({len(golden_tables[tid].rows)} rows)\n"
+                       for tid in ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"))
+        assert run(capsys, "verify-goldens") == (0, want + "8/8 tables match\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddmtc import filters, oracle
+from oddmtc import oracle
 from oddmtc.dimsearch import (
     DimSolution,
     SearchParams,
@@ -466,8 +466,10 @@ class TestFinalPick:
         each of a few divisors u' >= u a few times, and
         Q = g*(s + 2*sum (l/u')^2).  With l <= Dmax < 3l, final_pick emits
         exactly the reference rows, the planted one among them when it
-        passes mi_coprime and `_finish`.  Q + 2*shift, with 0 < shift < g,
-        has no completion, as 2g does not divide Q - g*s."""
+        passes mi_coprime and `_finish`.  Q + 2*shift with shift = 1 or 2
+        has no completion, and `final_pick` returns at its root: with g > 2,
+        2g does not divide Q - g*s; with g = 1, H = (Q - g*s)/2g grows by
+        shift, while a sum of rem odd squares is rem (mod 8)."""
         s, g = params.layer_invertibles, params.group_order
         l = 3 ** exps[0] * 5 ** exps[1] * 7 ** exps[2] * 11 ** exps[3]
         us = [v for v in range(1, l + 1, 2) if l % v == 0]
@@ -488,6 +490,7 @@ class TestFinalPick:
         got = sorted(eng.out, key=DimSolution.sort_key)
         assert got == sorted(_final_pick_reference(eng, Q, l, u, path, len(dims)),
                              key=DimSolution.sort_key)
+        assert not (shift and got)
         row = _finish(path + tuple(planted), dims[-1], w, params)
         if (row is not None and not shift
                 and not (cop and any(w * v * v % cop == 0 for v in planted))):
@@ -625,12 +628,6 @@ class TestDiffRows:
 
 
 class TestValidateSolution:
-    def test_full_multiset(self):
-        sol = DimSolution(441, 3, (7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3))
-        ms = filters.full_multiset(sol.dims, sol.invertibles)
-        assert len(ms) == 25
-        assert sum(d * d for d in ms) == sol.fpdim == 441
-
     def test_golden_rows_validate(self, golden_tables):
         for table in golden_tables.values():
             for row in table.rows:
@@ -675,7 +672,7 @@ class TestEngineAgainstOracle:
         checked = 0
         for table in golden_tables.values():
             p = table.params
-            reference = oracle.oracle_enumerate(p, bound)
+            reference = oracle.oracle_enumerate(replace(p, fpdim_bound=bound))
             diff = oracle.compare(enumerate_solutions(p), reference, bound)
             assert diff.empty, (table.table_id, diff.missing, diff.extra)
             checked += len(reference)

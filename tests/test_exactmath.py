@@ -75,7 +75,7 @@ class TestFactorize:
             "assert False, 'assert statements are live'\n"
             "broken = [\n"
             "    lambda: Factorization(((5, 1), (3, 1))),\n"
-            "    lambda: GradingCase((3, 3, 1), 7, 3),\n"
+            "    lambda: GradingCase((3, 3, 1)),\n"
             "    lambda: FilterVerdict(Verdict.DISCARD, '', ''),\n"
             "]\n"
             "for make in broken:\n"

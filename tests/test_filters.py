@@ -12,7 +12,7 @@ from oddmtc.gradings import GradingCase
 
 from t1_reference import T1_ROWS
 
-RANK25_CASE = GradingCase((19, 3, 3), 25, 3)
+RANK25_CASE = GradingCase((19, 3, 3))
 
 
 def t1_solution(row_number: int) -> DimSolution:
@@ -145,13 +145,25 @@ class TestChainOnTable1:
         assert filters.semidirect_condition(3, 7, 2)
 
 
+class TestOutsideDimUniformity:
+    """Under the case {19, 3, 3}, fpdim must be 3^2 * d^2 with 6 objects of dim d."""
+
+    @pytest.mark.parametrize("fpdim, dims, detail", [
+        (3 * 5**2, (5,), "3^2 does not divide fpdim"),
+        (3**2 * 3 * 5**2, (15, 5), "fpdim/3^2 = 75 is not a perfect square"),
+    ])
+    def test_fpdim_discards(self, fpdim, dims, detail):
+        verdict = filters.outside_dim_uniformity(DimSolution(fpdim, 3, dims), RANK25_CASE)
+        assert verdict.discard and verdict.detail == detail
+
+
 class TestPacking:
     def test_feasible(self):
         assert not filters.component_packing_feasible(t1_solution(34), RANK25_CASE).discard
 
     def test_infeasible_by_divisibility(self):
         sol = DimSolution(25, 1, (3,))
-        case = GradingCase((1, 1, 1), 3, 3)
+        case = GradingCase((1, 1, 1))
         # 3 does not divide 25
         assert filters.component_packing_feasible(sol, case).discard
 
@@ -159,7 +171,7 @@ class TestPacking:
         # fpdim 75, rank-1 components need a single object of squared dim 25,
         # but the multiset holds only dims 3 and 1
         sol = DimSolution(75, 3, (3, 3, 3, 3))
-        case = GradingCase((9, 1, 1), 11, 3)
+        case = GradingCase((9, 1, 1))
         assert filters.component_packing_feasible(sol, case).discard
 
 
@@ -214,7 +226,3 @@ class TestNumberTheoryFilters:
         assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, ())) is None
         assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, ())) is None
 
-
-class TestFullMultiset:
-    def test_doubles_pairs_and_adds_invertibles(self):
-        assert filters.full_multiset((3,), 3) == [3, 3, 1, 1, 1]

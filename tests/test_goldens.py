@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -23,7 +24,7 @@ class TestLoadGoldens:
     def test_all_tables_present(self, golden_tables):
         assert set(golden_tables) == set(goldens.TABLE_IDS)
         for table_id, count in EXPECTED_ROW_COUNTS.items():
-            assert golden_tables[table_id].row_count == count
+            assert len(golden_tables[table_id].rows) == count
 
     def test_params_reconstructed(self, golden_tables):
         t8 = golden_tables["T8"].params
@@ -37,9 +38,9 @@ class TestLoadGoldens:
         assert t7.mi_coprime == 5
 
     def test_post_filter_only_t5(self, golden_tables):
-        assert golden_tables["T5"].post_filter == "fixed_dim_multiplicity:3"
+        assert golden_tables["T5"].post_filter_p == 3
         for tid in set(goldens.TABLE_IDS) - {"T5"}:
-            assert golden_tables[tid].post_filter is None
+            assert golden_tables[tid].post_filter_p is None
 
     def test_rows_canonically_sorted(self, golden_tables):
         for table in golden_tables.values():
@@ -75,6 +76,21 @@ class TestLoadGoldens:
         goldens._load_table(table_id, entry, raw)
         with pytest.raises(goldens.GoldenDataError, match=key):
             goldens._load_table(table_id, dict(entry, **{key: value}), raw)
+
+    @pytest.mark.parametrize("old, new, match", [
+        (b"fpdim,s,", b"fpdim,n,", "unexpected header"),
+        # 5^2 does not divide 387 = 3^2 * 43
+        (b"387,3,3,", b"387,3,5,", "387 not divisible by 5\\^2"),
+        (b"387,3,3,3,3,3,3,3,3\r\n", b"", "expected 3 rows, found 2"),
+    ])
+    def test_tampered_csv_rejected(self, old, new, match):
+        """A CSV whose checksum is updated with it still fails the row checks."""
+        entry, raw = _entry_and_raw("T2")
+        assert raw.count(old) == 1
+        raw = raw.replace(old, new)
+        entry = dict(entry, sha256=hashlib.sha256(raw).hexdigest())
+        with pytest.raises(goldens.GoldenDataError, match=match):
+            goldens._load_table("T2", entry, raw)
 
     def test_unknown_post_filter_rejected_at_load(self):
         entry, raw = _entry_and_raw("T5")

@@ -14,9 +14,8 @@ from oddmtc.gradings import (
 )
 
 
-def case(ranks, rank=None, invertibles=None):
-    ranks = tuple(sorted(ranks, reverse=True))
-    return GradingCase(ranks, rank or sum(ranks), invertibles or len(ranks))
+def case(ranks):
+    return GradingCase(tuple(sorted(ranks, reverse=True)))
 
 
 class TestInvertibleCountCandidates:
@@ -78,22 +77,32 @@ class TestEnumerateCases:
         assert got == want
 
 
+class TestGradingCase:
+    @pytest.mark.parametrize("ranks, adjoint", [
+        ((19, 3, 3), 19), ((11, 11, 3), 3), ((9, 9, 9), 9),
+        # 17, 9 and 1 all occur an odd number of times
+        ((17, 9, 9, 9, 1, 1, 1, 1, 1), None),
+    ])
+    def test_adjoint_rank(self, ranks, adjoint):
+        assert GradingCase(ranks).adjoint_rank == adjoint
+
+
 class TestFilters:
     def test_min_three_components(self):
-        assert filter_min_three_components(case([9] + [1] * 16, 25, 17)).discard
-        assert filter_min_three_components(case([19, 3, 3], 25, 3)).verdict is Verdict.PASS
-        assert filter_min_three_components(case([3] * 9, 27, 9)).verdict is Verdict.PASS
+        assert filter_min_three_components(case([9] + [1] * 16)).discard
+        assert filter_min_three_components(case([19, 3, 3])).verdict is Verdict.PASS
+        assert filter_min_three_components(case([3] * 9)).verdict is Verdict.PASS
 
     def test_divisibility(self):
-        assert filter_divisibility(case([11, 11, 3], 25, 3)).discard
-        assert filter_divisibility(case([11, 3, 3, 3, 3, 3, 3], 29, 7)).discard
-        assert filter_divisibility(case([19, 3, 3], 25, 3)).verdict is Verdict.PASS
-        assert filter_divisibility(case([9] * 3 + [1] * 12, 39, 15)) is None
+        assert filter_divisibility(case([11, 11, 3])).discard
+        assert filter_divisibility(case([11, 3, 3, 3, 3, 3, 3])).discard
+        assert filter_divisibility(case([19, 3, 3])).verdict is Verdict.PASS
+        assert filter_divisibility(case([9] * 3 + [1] * 12)) is None
 
     def test_odd_multiplicity(self):
-        assert filter_odd_multiplicity(case([9, 9, 9, 9] + [1] * 11, 47, 15)).discard
-        assert filter_odd_multiplicity(case([17, 9, 9, 9, 1, 1, 1, 1, 1], 49, 9)).discard
-        assert filter_odd_multiplicity(case([27, 3, 3], 33, 3)).verdict is Verdict.PASS
+        assert filter_odd_multiplicity(case([9, 9, 9, 9] + [1] * 11)).discard
+        assert filter_odd_multiplicity(case([17, 9, 9, 9, 1, 1, 1, 1, 1])).discard
+        assert filter_odd_multiplicity(case([27, 3, 3])).verdict is Verdict.PASS
 
     def test_order_independence(self):
         fns = [filter_min_three_components, filter_divisibility, filter_odd_multiplicity]

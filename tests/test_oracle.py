@@ -1,34 +1,37 @@
+from dataclasses import replace
+
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (DimSolution, SearchParams, _Engine,
+from oddmtc.dimsearch import (DimSolution, SearchParams, _Engine, diff_rows,
                                enumerate_solutions, validate_solution)
 from oddmtc.exactmath import squarefree_split
+from oddmtc.filters import fixed_dim_multiplicity_filter
 
 
-def check_equivalence(params, bound):
+def check_equivalence(params):
     search = enumerate_solutions(params)
-    reference = oracle.oracle_enumerate(params, bound)
-    diff = oracle.compare(search, reference, bound)
+    reference = oracle.oracle_enumerate(params)
+    diff = oracle.compare(search, reference, params.fpdim_bound)
     assert diff.empty, (diff.missing, diff.extra)
     return reference
 
 
 class TestOracleEnumerate:
     def test_matches_search_rank25(self):
-        rows = check_equivalence(SearchParams(rank=25, invertibles=3, fpdim_bound=10**6), 10**6)
+        rows = check_equivalence(SearchParams(rank=25, invertibles=3, fpdim_bound=10**6))
         assert len(rows) == 16  # the rank-25 arrays with fpdim below 1e6
 
     def test_matches_search_adjoint(self):
         params = SearchParams(rank=45, invertibles=3,
                               adjoint_rank=15, adjoint_invertibles=3, fpdim_bound=10**5)
-        rows = check_equivalence(params, 10**5)
+        rows = check_equivalence(params)
         assert [r.fpdim for r in rows] == [2925, 333]
 
     def test_matches_search_with_predicates(self):
         params = SearchParams(rank=41, invertibles=5, min_m1=25, m1_square=True,
                               fpdim_bound=10**6)
-        check_equivalence(params, 10**6)
+        check_equivalence(params)
 
     @pytest.mark.parametrize("rank, s, cop, size", [
         (19, 3, 9, 0), (19, 3, 15, 0), (17, 3, 25, 0), (25, 3, 25, 3), (27, 3, 15, 4)])
@@ -36,14 +39,14 @@ class TestOracleEnumerate:
         """mi_coprime bounds each quotient w*u^2, so a composite P also
         rejects u with P not dividing u, e.g. 27 = 3*3^2 under P = 9."""
         params = SearchParams(rank=rank, invertibles=s, mi_coprime=cop, fpdim_bound=10**6)
-        assert len(check_equivalence(params, 10**6)) == size
+        assert len(check_equivalence(params)) == size
 
     def test_matches_search_min_run(self):
         params = SearchParams(rank=49, invertibles=5, adjoint_rank=29, adjoint_invertibles=5,
                               min_m1=25, m1_square=True, min_run=5,
                               fpdim_bound=10**6)
         # one of these rows, above 10^5, ends in a forced min-run tail
-        assert len(check_equivalence(params, 10**6)) == 13
+        assert len(check_equivalence(params)) == 13
 
     def test_matches_search_min_run_tail(self):
         """The min-run tail and the p-batch rule in _finish, with the bound on."""
@@ -52,7 +55,7 @@ class TestOracleEnumerate:
             for run in range(2, 6):
                 params = SearchParams(rank=rank, invertibles=s, min_run=run,
                                       fpdim_bound=10**5)
-                total += len(check_equivalence(params, 10**5))
+                total += len(check_equivalence(params))
         assert total == 60
 
     def test_matches_search_final_chain(self, monkeypatch):
@@ -71,23 +74,44 @@ class TestOracleEnumerate:
                     params = SearchParams(rank=gc * ar, invertibles=gc,
                                           adjoint_rank=ar, adjoint_invertibles=ai,
                                           min_run=run, fpdim_bound=10**5)
-                    total += len(check_equivalence(params, 10**5))
+                    total += len(check_equivalence(params))
         assert total == 100
 
     @pytest.mark.parametrize("rank, s, size", [(25, 3, 21), (33, 5, 211)])
     def test_matches_search_bound_4e6(self, rank, s, size):
         bound = 4 * 10 ** 6
         params = SearchParams(rank=rank, invertibles=s, fpdim_bound=bound)
-        assert len(check_equivalence(params, bound)) == size
+        assert len(check_equivalence(params)) == size
 
     def test_rows_validate(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**6)
-        for row in oracle.oracle_enumerate(params, 10**6):
+        for row in oracle.oracle_enumerate(params):
             validate_solution(row, params)
 
     def test_bound_below_invertibles_rejected(self):
         with pytest.raises(ValueError):
-            oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3), 2)
+            oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3, fpdim_bound=2))
+
+    def test_unbounded_params_rejected(self):
+        with pytest.raises(ValueError, match="fpdim bound"):
+            oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3))
+
+
+class TestGoldenTablesUpToLargestRow:
+    @pytest.mark.parametrize("table_id", ["T1", "T2", "T4", "T5", "T6", "T7", "T8"])
+    def test_oracle_gives_the_table(self, golden_tables, table_id):
+        """The oracle bounded by the table's largest fpdim, then the table's
+        post filter, gives exactly the table's rows.  This certifies every
+        row up to that fpdim; it says nothing about rows above it.  T3 is
+        left out: its oracle run takes about 100 s, in `_pick`."""
+        table = golden_tables[table_id]
+        bound = max(row.fpdim for row in table.rows)
+        rows = oracle.oracle_enumerate(replace(table.params, fpdim_bound=bound))
+        if table.post_filter_p is not None:
+            rows = [r for r in rows
+                    if not fixed_dim_multiplicity_filter(r, table.post_filter_p).discard]
+        diff = diff_rows(table.rows, rows)
+        assert diff.empty, (diff.missing, diff.extra)
 
 
 class TestCandidateFpdims:
@@ -105,20 +129,21 @@ class TestCandidateFpdims:
     def test_equals_brute_definition(self, params, size):
         bound = 10 ** 5
         s, g, k = params.layer_invertibles, params.group_order, params.k
-        floor = 15 if params.perfect else 3
+        floor = params.dmin
         want = []
         for fpdim in range(params.rank % 8, bound + 1, 8):
             rp = squarefree_split(fpdim)[0]
             if rp >= floor and fpdim <= g * (2 * k * rp * rp + s):
                 want.append(fpdim)
-        got = oracle._candidate_fpdims(params, bound)
+        got = oracle._candidate_fpdims(replace(params, fpdim_bound=bound))
         assert [fpdim for fpdim, _ in got] == want
         assert len(want) == size
         for fpdim, root in got:
             assert root % 2 == 1 and root >= floor and fpdim % (root * root) == 0, fpdim
 
     def test_empty_below_floor_squared(self):
-        assert oracle._candidate_fpdims(SearchParams(rank=25, invertibles=1), 15 ** 2 - 1) == []
+        params = SearchParams(rank=25, invertibles=1, fpdim_bound=15 ** 2 - 1)
+        assert oracle._candidate_fpdims(params) == []
 
 
 class TestSolveFpdimFirstCut:
@@ -134,7 +159,7 @@ class TestSolveFpdimFirstCut:
     ])
     def test_equals_pick_on_full_divisors(self, params, bound):
         s, g, k = params.layer_invertibles, params.group_order, params.k
-        floor = 15 if params.perfect else 3
+        floor = params.dmin
         rows = []
         for fpdim in range(params.rank % 8, bound + 1, 8):
             want = []
@@ -143,20 +168,21 @@ class TestSolveFpdimFirstCut:
             if not r and (layer - s) % 2 == 0:
                 divisors = [d for d in oracle._odd_divisors_at_least(root_part, floor)
                             if (fpdim // (d * d)) % 2 == 1]
-                oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, s, params)
+                oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, params)
             # every odd R with R^2 | fpdim gives the same root part
             for root in oracle._odd_divisors_at_least(root_part, 1):
-                got = oracle._solve_fpdim(fpdim, root, s, g, k, params.perfect, floor, params)
+                got = oracle._solve_fpdim(fpdim, root, params)
                 assert got == want, (fpdim, root)
             rows.extend(want)
         assert rows
-        assert oracle.oracle_enumerate(params, bound) == sorted(rows, key=DimSolution.sort_key)
+        bounded = replace(params, fpdim_bound=bound)
+        assert oracle.oracle_enumerate(bounded) == sorted(rows, key=DimSolution.sort_key)
 
 
 class TestCompare:
     def test_reports_differences(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**5)
-        rows = oracle.oracle_enumerate(params, 10**5)
+        rows = oracle.oracle_enumerate(params)
         diff = oracle.compare(rows[1:], rows, 10**5)
         assert diff.missing == (rows[0],) and not diff.extra
         diff = oracle.compare(rows, rows[1:], 10**5)
