@@ -23,13 +23,14 @@ Every search, bounded or not, is one depth-first search over u-chains per
 m1 branch (`_Engine`) with a single child generator.  The min_run predicate
 rides along as a counter of the trailing run of equal u_i, and one rule
 closes, extends or drops a state once no fresh run fits.
-`_Engine.final_node` ends a chain whose new value u_k fills the last level,
-or all L levels of a min-run tail, by a scan of the odd u_k that the window
-[lo, hi] of d_k allows; nothing is factored there.  With fpdim_bound set,
-the same search adds exact prunes, and `_Engine.final_pick` closes every
-state whose D must equal l by picking the remaining dims among the divisors
-of l (see `_Engine`); `tests/test_oracle.py` and Criterion 9 check the
-bounded search against the brute-force oracle.
+`_Engine.final_node` ends a batch of chains (a state with two levels left
+passes all its children) whose new u_k fills the last level, or all L of a
+min-run tail, by a scan of the odd u_k that the window of d_k allows;
+nothing is factored there.  With fpdim_bound set, the same search adds
+exact prunes, and `_Engine.final_pick` closes every state whose D must
+equal l by picking the remaining dims among the divisors of l (see
+`_Engine`); `tests/test_oracle.py` and Criterion 9 check the bounded search
+against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from multiprocessing import Pool
 
 from .exactmath import (
@@ -234,23 +235,24 @@ class _Engine:
     is Q = m1 - 2g, l = u_1; a child u' with h = gcd(l, u') and r = u'/h
     has l' = l*r and Q' = Q*r^2 - 2g*(l/h)^2.
 
-    `final_node` closes a state at u whose new value u_k fills the last
-    n = `levels` levels (1 at rem = 1, L in a min-run tail, where u_k > u).
-    Then Q*u_k^2 = T/d^2 + 2n*g*l^2 with T = s*g*l^2 confines d = d_k to
-    [lo, hi]:
-    * u_k >= u needs (Q*u^2 - 2n*g*l^2)*d^2 <= T, which bounds d above when
-      Q*u^2 > 2n*g*l^2;
+    `final_node` closes a batch of states (u, Q, l) whose new value u_k
+    fills the last n = `levels` levels (1 at rem = 1, L in a min-run tail,
+    where u_k > u).  A state at rem = 2 passes its children as one batch, with
+    no push, pop or path per child: the min-run rule serves every rem <= L,
+    and L = 1 or L >= 2 = rem, so run = L and each child closes at rem = 1.
+    With N = 2n*g*l^2 and T = s*g*l^2, Q*u_k^2 = T/d^2 + N for d = d_k:
     * with G = gcd(Q, g*l^2), a = Q/G is prime to g*l^2/G, so
       Q*(u_k*d)^2 = g*l^2*(s + 2n*d^2) gives a | s + 2n*d^2, and
-      d^2 >= (a - s)/2n.
-    The right side falls as d grows, so the window maps onto the odd u_k
-    from max(u, isqrt((T // hi^2 + 2n*g*l^2) // Q)) (u + 2 when n > 1) up to
-    top = isqrt((T // lo^2 + 2n*g*l^2) // Q).  `top` is exact: d^2 divides
-    T, so T/d^2 is an integer <= T // lo^2.  Each u_k in range gives
-    X = Q*u_k^2 - 2n*g*l^2, and a completion needs X > 0, X | T and
-    T/X = d^2 a square.  As s/d^2 is small next to 2n, u_k sits near
-    l*sqrt(2n*g/Q) and the range is short; a state whose window is empty
-    returns at once.
+      d >= lo = max(dmin, isqrt((a - s)/2n));
+    * so X = Q*u_k^2 - N = T/d^2 is an integer <= T // lo^2, and u_k is at
+      most top = isqrt((T // lo^2 + N) // Q), at least u (u + 2 when n > 1),
+      and at least isqrt(N // Q) + 1, the least u_k with X > 0;
+    * u_k >= u needs (Q*u^2 - N)*d^2 <= T, the only upper bound on d the scan
+      needs, as every u_k >= u that solves the equation meets it; it empties
+      the window when T // (Q*u^2 - N) < lo^2.
+    A state returns on an empty u_k range or that cap, cheapest test first;
+    otherwise each u_k in range needs X | T and T/X = d^2 a square.  As s/d^2
+    is small next to 2n, u_k sits near l*sqrt(2n*g/Q): most states scan nothing.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -273,7 +275,9 @@ class _Engine:
       state: the sweep's searches take 2.1-2.4 s of CPU with it and 2.8-3.2 s
       without, all 114 pairs 3.8-5.3 s and 5.5-7.0 s (4 alternating runs
       each).  A state that passes has `top` <= Dmax // dmin, and a child it
-      would cut is cut when popped.
+      would cut is cut when popped.  The children of a rem = 2 state are not
+      popped: they close in `final_node`, exact for any state, past the cut
+      and the D = l close (the sweep's searches: 0.53-0.58 s of CPU both ways).
     * the D = l close: D is an odd multiple of l, so Dmax < 3l gives D = l,
       and `final_pick` closes the state (rem >= 1) with no child scan.  Each
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
@@ -288,8 +292,8 @@ class _Engine:
       the only bound test on the rows of `final_node`, `final_chain` and
       `final_pick`.
     The floor `a` puts on d in `final_node` serves every search: without it,
-    verifying T1-T4, T6 and T7 took 9.0 s instead of 1.8 s, T8 12.1 s instead
-    of 2.2 s, and T5 14.2 s instead of 1.8 s.
+    the searches of T1-T4, T6 and T7 take 1.45 s instead of 0.10 s, T8 2.2 s
+    instead of 0.29 s, and T5 2.5 s instead of 0.17 s (Python 3.11, one core).
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -306,39 +310,42 @@ class _Engine:
         self.Dmax = None if bound is None else math.isqrt(bound // w)
         self.out: list[DimSolution] = []
 
-    def final_node(self, Q: int, l: int, u: int, path, levels: int) -> None:
-        """Emit the completions whose new value u_k fills the last n = `levels`
-        levels: Q*u_k^2 = T/d^2 + 2n*g*l^2 with d = d_k and T = s*g*l^2,
-        over the odd u_k its window allows (see above)."""
-        s = self.s
-        gl2 = self.g * l * l
-        T = s * gl2
-        N = 2 * levels * gl2
-        # u_k >= u needs (Q*u^2 - 2n*g*l^2)*d^2 <= T
-        Qn = Q * u * u - N
-        hi = math.isqrt(T // Qn) if Qn > 0 else math.isqrt(T)
-        # a divides s + 2n*d^2, so d^2 >= (a - s)/2n
-        a = Q // gcd(Q, gl2)
-        lo = max(self.dmin, math.isqrt(max(a - s, 0) // (2 * levels)))
-        if lo > hi:
-            return
-        # T/d^2 is an integer in [T // hi^2, T // lo^2]
-        first = max(u if levels == 1 else u + 2,
-                    math.isqrt((T // (hi * hi) + N) // Q)) | 1
-        top = math.isqrt((T // (lo * lo) + N) // Q)
-        for up in range(first, top + 1, 2):
-            if self.cop and self.w * up * up % self.cop == 0:
+    def final_node(self, prefix, states, levels: int) -> None:
+        """Emit prefix + (u,) + (u_k,)*n for each state (u, Q, l) of `states`
+        whose new u_k fills the last n = `levels` levels (see above)."""
+        s, g, dmin, w, cop, params = self.s, self.g, self.dmin, self.w, self.cop, self.params
+        dmin2, n2 = dmin * dmin, 2 * levels
+        # u_k > u when n > 1: the min-run rule grows the run of u itself
+        skip = 0 if levels == 1 else 2
+        for u, Q, l in states:
+            gl2 = g * l * l
+            # a divides s + 2n*d^2, so d^2 >= (a - s)/2n
+            lo2 = (Q // gcd(Q, gl2) - s) // n2
+            lo = isqrt(lo2) if lo2 > dmin2 else dmin
+            T, N = s * gl2, n2 * gl2
+            # the least odd u_k >= u + skip with X = Q*u_k^2 - N > 0
+            first = isqrt(N // Q) + 1
+            first = (first if first > u + skip else u + skip) | 1
+            # T/d^2 is an integer <= T // lo^2, so X <= T // lo^2
+            Tlo = T // (lo * lo)
+            if Q * first * first - N > Tlo:
                 continue
-            X = Q * up * up - N
-            if X <= 0 or T % X:
+            # u_k >= u needs (Q*u^2 - N)*d^2 <= T
+            Qn = Q * u * u - N
+            if Qn > 0 and T // Qn < lo * lo:
                 continue
-            # a root d lies in [lo, hi] or fails _finish: the window follows
-            # from the equation and dmin
-            d, square = isqrt_exact(T // X)
-            if square:
-                sol = _finish(path + (up,) * levels, d, self.w, self.params)
-                if sol is not None:
-                    self.out.append(sol)
+            top = isqrt((Tlo + N) // Q)
+            for up in range(first, top + 1, 2):
+                if cop and w * up * up % cop == 0:
+                    continue
+                X = Q * up * up - N
+                if T % X:
+                    continue
+                d, square = isqrt_exact(T // X)
+                if square:
+                    sol = _finish(prefix + (u,) + (up,) * levels, d, w, params)
+                    if sol is not None:
+                        self.out.append(sol)
 
     def final_chain(self, Q: int, l: int, path) -> None:
         """Full-length chain: test e^2 = g*s/Q directly, then d_k = e*l/u_k.
@@ -436,7 +443,7 @@ class _Engine:
             if run < L and rem <= L:
                 # after a u' > u no fresh run fits, unless u' fills all L levels
                 if rem == L:
-                    self.final_node(Q, l, u, path, L)
+                    self.final_node(path[:-1], ((u, Q, l),), L)
                 # otherwise the run grows to L; each level takes 2g*(l/u)^2 from Q
                 need = L - run
                 Q -= 2 * g * need * (l // u) ** 2
@@ -449,7 +456,10 @@ class _Engine:
                 # D is an odd multiple of l, so D = l
                 self.final_pick(Q, l, u, path, rem)
             elif rem == 1:
-                self.final_node(Q, l, u, path, 1)
+                self.final_node(path[:-1], ((u, Q, l),), 1)
+            elif rem == 2:
+                # run == L here, so every child closes at rem = 1 as it is
+                self.final_node(path, self.children(Q, l, u, 2), 1)
             else:
                 for up, Qn, ln in self.children(Q, l, u, rem):
                     nrun = run if run == L else run + 1 if up == u else 1

@@ -263,15 +263,16 @@ class TestNextLevel:
 class TestFinalNode:
     # final_node scans u_k; the reference scans the square divisors of
     # target, factored whole, and filters in _finish.  "-bound" caps fpdim
-    # at the median row's, and _finish drops the rows above it; a state with
-    # Dmax < 3l closes in final_pick instead (rank27-bound's one row).  The
-    # counts are {levels: (calls, rows emitted)}; levels = L is the min-run tail.
+    # at the median row's, and _finish drops the rows above it; a popped
+    # state with Dmax < 3l closes in final_pick instead (rank27-bound's one
+    # row).  The counts are {levels: (states, rows emitted)}, over every
+    # batch; levels = L is the min-run tail.
     COUNTS = {
         "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T4": {1: (39, 13)}, "T6": {1: (5, 2)},
         "T7": {1: (4266, 11)}, "T7-min_run2": {1: (4266, 2)}, "T7-min_run3": {1: (4266, 1)},
         "T7-min_run4": {1: (4266, 2)}, "T7-min_run5": {1: (4262, 11), 5: (4, 0)},
         "T4-min_run3": {1: (8, 6), 3: (14, 3)},
-        "rank27-bound": {}, "T4-bound": {1: (8, 7)},
+        "rank27-bound": {}, "T4-bound": {1: (9, 7)},
     }
 
     @pytest.mark.parametrize("table", COUNTS)
@@ -287,15 +288,17 @@ class TestFinalNode:
         bounded = _Engine.final_node
         counts = {}
 
-        def checked(eng, Q, l, u, path, levels):
+        def checked(eng, prefix, states, levels):
+            states = list(states)
             start = len(eng.out)
-            bounded(eng, Q, l, u, path, levels)
+            bounded(eng, prefix, states, levels)
             got = sorted(eng.out[start:], key=DimSolution.sort_key)
-            want = sorted(_final_node_reference(eng, Q, l, u, path, levels),
+            want = sorted((sol for u, Q, l in states for sol in
+                           _final_node_reference(eng, Q, l, u, prefix + (u,), levels)),
                           key=DimSolution.sort_key)
-            assert got == want, (Q, l, u, path, levels)
+            assert got == want, (prefix, states, levels)
             calls, rows = counts.get(levels, (0, 0))
-            counts[levels] = (calls + 1, rows + len(got))
+            counts[levels] = (calls + len(states), rows + len(got))
 
         monkeypatch.setattr(_Engine, "final_node", checked)
         enumerate_solutions(p)
@@ -309,11 +312,12 @@ class TestFinalNode:
         counts = {"children": 0, "final_chain": 0}
         node, children = _Engine.final_node, _Engine.children
 
-        def counted_node(eng, Q, l, u, path, levels):
+        def counted_node(eng, prefix, states, levels):
+            states = list(states)
             start = len(eng.out)
-            node(eng, Q, l, u, path, levels)
+            node(eng, prefix, states, levels)
             calls, rows = counts.get(levels, (0, 0))
-            counts[levels] = (calls + 1, rows + len(eng.out) - start)
+            counts[levels] = (calls + len(states), rows + len(eng.out) - start)
 
         def counted_children(eng, *args):
             for child in children(eng, *args):
@@ -334,17 +338,20 @@ class TestFinalNode:
         """Rank 33, s = 3 and rank 41, s = 5 with min_run = 5, at bound 10^6:
         the state cut, the lcm cap and the Dmax < 3l dispatch to final_pick
         set these counts, and on rank 41 the min-run rule too, so a change
-        to a bounded prune or to that rule shows here.  final_node calls are
-        counted by levels."""
+        to a bounded prune or to that rule shows here.  final_node states
+        are counted by levels; the children of a rem = 2 state reach it in
+        one batch, past the state cut and the dispatch to final_pick."""
         counts = {}
         node, children, pick = _Engine.final_node, _Engine.children, _Engine.final_pick
 
         def count(key):
             counts[key] = counts.get(key, 0) + 1
 
-        def counted_node(eng, Q, l, u, path, levels):
-            count(f"final_node {levels}")
-            node(eng, Q, l, u, path, levels)
+        def counted_node(eng, prefix, states, levels):
+            states = list(states)
+            for _ in states:
+                count(f"final_node {levels}")
+            node(eng, prefix, states, levels)
 
         def counted_children(eng, *args):
             count("children calls")
@@ -361,11 +368,11 @@ class TestFinalNode:
         monkeypatch.setattr(_Engine, "final_pick", counted_pick)
         cases = [
             (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 333,
-             {"children calls": 1642, "children": 2904, "final_node 1": 286,
-              "final_pick": 910}),
+             {"children calls": 1642, "children": 2904, "final_node 1": 408,
+              "final_pick": 788}),
             (SearchParams(rank=41, invertibles=5, min_run=5, fpdim_bound=10**6), 6,
-             {"children calls": 5175, "children": 9230, "final_node 1": 950,
-              "final_node 5": 727, "final_pick": 2449}),
+             {"children calls": 5175, "children": 9230, "final_node 1": 1328,
+              "final_node 5": 727, "final_pick": 2102}),
         ]
         for params, size, expected in cases:
             counts.clear()
@@ -383,7 +390,8 @@ class TestFinalNode:
     def test_planted_completions(self, params, w, u, up_step, e, copies, min_run, cop,
                                  slack, tail):
         """A state built from a chosen completion (d, u_k) whose u_k fills
-        r levels, r = 1 or (tail) r = L = min_run with u_k > u: with
+        r levels, r = 1 or (tail) r = L = min_run with u_k >= u (u_k = u,
+        which the min-run rule grows instead, is no completion there): with
         l = d*u_k*u, Q = g*(s + 2r*d^2)*u^2 solves
         Q*u_k^2 = s*g*l^2/d^2 + 2r*g*l^2 (final_node is exact for any
         (Q, l) with that ratio Q/(g*l^2), so l need not be lcm(path)), and
@@ -392,7 +400,7 @@ class TestFinalNode:
         s = params.layer_invertibles
         g = params.group_order
         levels = min_run if tail and min_run else 1
-        uk = u + 2 * (up_step + (levels > 1))
+        uk = u + 2 * up_step
         step = u // math.gcd(u, uk)
         d = step * e
         while d < params.dmin:
@@ -403,10 +411,59 @@ class TestFinalNode:
         Q, l = g * (s + 2 * levels * d * d) * u * u, d * uk * u
         eng = _Engine(params, w)
         path = (u,) * copies
-        eng.final_node(Q, l, u, path, levels)
+        eng.final_node(path[:-1], [(u, Q, l)], levels)
         got = sorted(eng.out, key=DimSolution.sort_key)
         want = _final_node_reference(eng, Q, l, u, path, levels)
         assert got == sorted(want, key=DimSolution.sort_key)
+
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           lead=st.lists(st.integers(0, 7).map(lambda x: 2 * x + 1), max_size=2),
+           u=st.integers(0, 10).map(lambda x: 2 * x + 1),
+           steps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           e=st.integers(0, 5).map(lambda x: 2 * x + 1),
+           min_run=st.sampled_from([None, 2, 3, 5]),
+           cop=st.sampled_from([None, 3, 5, 7, 9, 15]),
+           slack=st.none() | st.integers(-60, 60))
+    @settings(max_examples=800, deadline=None)
+    def test_planted_two_level_batch(self, params, w, lead, u, steps, e, min_run, cop,
+                                     slack):
+        """A rem = 2 state at u planted from a chosen completion
+        u <= u' <= u'' with d'' = D/u'' >= dmin, where D is an odd multiple
+        of lcm(path, u', u''): (Q, l) = (g*(s + 2d'^2 + 2d''^2), D) has the
+        ratio Q/l^2 of the chain's state at u (children and final_node are
+        exact for any pair with that ratio, so l need not be lcm(path)).
+        The batch final_node(path, children(Q, l, u, 2), 1) emits exactly
+        the reference rows of its children, the planted one among them when
+        it passes mi_coprime and `_finish`."""
+        s, g = params.layer_invertibles, params.group_order
+        path = tuple(sorted(x for x in lead if x <= u)) + (u,)
+        u1 = u + 2 * steps[0]
+        u2 = u1 + 2 * steps[1]
+        step = math.lcm(*path, u1, u2)
+        D = step * e
+        while D < params.dmin * u2:
+            D += 2 * step
+        d1, d2 = D // u1, D // u2
+        params = replace(params, min_run=min_run, mi_coprime=cop,
+                         fpdim_bound=None if slack is None else max(1, w * D * D + slack))
+        Q, l = g * (s + 2 * d1 * d1 + 2 * d2 * d2), D
+        eng = _Engine(params, w)
+        eng.final_node(path, eng.children(Q, l, u, 2), 1)
+        got = sorted(eng.out, key=DimSolution.sort_key)
+        want = [sol for up, Qn, ln in eng.children(Q, l, u, 2)
+                for sol in _final_node_reference(eng, Qn, ln, up, path + (up,), 1)]
+        assert got == sorted(want, key=DimSolution.sort_key)
+        row = _finish(path + (u1, u2), d2, w, params)
+        if row is not None and not (cop and any(w * v * v % cop == 0 for v in (u1, u2))):
+            assert row in got
+
+    @given(Q=st.integers(1, 10**12), m=st.integers(0, 10**9), shift=st.integers(-2, 2))
+    def test_first_past_zero(self, Q, m, shift):
+        """isqrt(N // Q) + 1, final_node's floor on u_k, is the least u with
+        Q*u^2 > N; N = Q*m^2 + shift puts N next to a multiple of a square."""
+        N = max(0, Q * m * m + shift)
+        u = math.isqrt(N // Q) + 1
+        assert Q * u * u > N >= Q * (u - 1) ** 2
 
 
 class TestFinalPick:
@@ -414,15 +471,15 @@ class TestFinalPick:
     # `oracle-check --rank 49 --invertibles 5 --min-run 5`, and the
     # mi_coprime and perfect (dmin = 15) cases are CI's two runs at 4*10^6
     CASES = {
-        "rank33": (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 910, 276),
+        "rank33": (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 788, 274),
         "rank41-min_run5": (SearchParams(rank=41, invertibles=5, min_run=5,
-                                         fpdim_bound=10**6), 2449, 1),
+                                         fpdim_bound=10**6), 2102, 1),
         "rank49-min_run5": (SearchParams(rank=49, invertibles=5, min_run=5,
-                                         fpdim_bound=10**6), 13361, 65),
+                                         fpdim_bound=10**6), 12003, 64),
         "rank33-mi_coprime15": (SearchParams(rank=33, invertibles=3, mi_coprime=15,
-                                             fpdim_bound=4 * 10**6), 751, 33),
+                                             fpdim_bound=4 * 10**6), 648, 33),
         "rank33-perfect": (SearchParams(rank=33, invertibles=1, fpdim_bound=4 * 10**6),
-                           2103, 9),
+                           1881, 9),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -528,9 +585,11 @@ class TestState:
             assert l == math.lcm(*path), path
             assert Fraction(Q, l * l) == eng.w - 2 * g * sum(Fraction(1, u * u) for u in path)
 
-        def checked_node(eng, Q, l, u, path, levels):
-            check(eng, Q, l, path)
-            node(eng, Q, l, u, path, levels)
+        def checked_node(eng, prefix, states, levels):
+            states = list(states)
+            for u, Q, l in states:
+                check(eng, Q, l, prefix + (u,))
+            node(eng, prefix, states, levels)
 
         def checked_chain(eng, Q, l, path):
             check(eng, Q, l, path)

@@ -62,8 +62,9 @@ class TestOracleEnumerate:
         """Adjoint searches with k = 1 and no min_run, and with k = L, where
         the run extension completes the root: final_chain closes every
         chain, and final_node never runs."""
-        def no_final_node(*args):
-            raise AssertionError("final_node reached")
+        def no_final_node(eng, prefix, states, levels):
+            if list(states):
+                raise AssertionError("final_node reached")
 
         monkeypatch.setattr(_Engine, "final_node", no_final_node)
         total = 0
