@@ -113,31 +113,18 @@ def cmd_gradings(args, out) -> int:
 # --------------------------------------------------------------------------
 # classify
 
-def _dual_product(sol: DimSolution, case: gradings.GradingCase):
-    non_div = [d for d in sol.dims if d % case.invertibles]
-    return filters.dual_product_feasible(sorted(set(sol.dims)), min(non_div)) if non_div else None
-
-
-def _forced_pointed(sol: DimSolution, case: gradings.GradingCase):
-    if filters.forced_pointed(sol.fpdim):
-        return filters.FilterVerdict(
-            filters.Verdict.DISCARD, "forced-pointed", filters.CITE_FORCED_POINTED,
-            detail=f"fpdim {sol.fpdim} forces a pointed category")
-    return None
-
-
 #: Per-solution chain for a prime invertible count p with one surviving
 #: grading case.  Each step maps (solution, case) to a FilterVerdict, or to
 #: None when it does not apply (no trail step).  A solution no step discards
-#: is SURVIVING if the last step passes it (a known model realizes it),
-#: else NEEDS_MANUAL_ANALYSIS.
+#: is SURVIVING iff the last step, the model test, returns a verdict (a
+#: known model realizes it), else NEEDS_MANUAL_ANALYSIS.
 PRIME_CHAIN = (
     filters.outside_dim_uniformity,
     lambda sol, case: filters.fixed_dim_multiplicity_filter(sol, case.invertibles),
     filters.component_packing_feasible,
     lambda sol, case: filters.deequiv_solution_filter(sol.dims, case.invertibles, sol.fpdim),
-    _dual_product,
-    _forced_pointed,
+    filters.dual_product_rule,
+    filters.forced_pointed_rule,
     filters.semidirect_model,
 )
 
@@ -163,24 +150,24 @@ NOT_MECHANIZED = {
 
 
 def _step(verdict: filters.FilterVerdict) -> dict:
-    last = {"detail": verdict.detail} if verdict.discard else {"verdict": verdict.verdict.name}
+    last = {"detail": verdict.detail} if verdict.discard else {"verdict": "PASS"}
     return {"filter": verdict.reason, "citation": verdict.citation, **last}
 
 
 def _run_chain(chain, case: gradings.GradingCase, sols: list[DimSolution], entry: dict) -> None:
     trail = []
     for sol in sols:
-        steps = []
+        steps, status = [], "NEEDS_MANUAL_ANALYSIS"
         for step in chain:
             verdict = step(sol, case)
-            if verdict is not None:
-                steps.append(_step(verdict))
-                if verdict.discard:
-                    status = "DISCARDED"
-                    break
-        else:
-            passed = verdict is not None and verdict.verdict is filters.Verdict.PASS
-            status = "SURVIVING" if passed else "NEEDS_MANUAL_ANALYSIS"
+            if verdict is None:
+                continue
+            steps.append(_step(verdict))
+            if verdict.discard:
+                status = "DISCARDED"
+                break
+            if step is chain[-1]:
+                status = "SURVIVING"
         trail.append({"solution": _sol_record(sol), "status": status, "steps": steps})
     for key, status in (("surviving", "SURVIVING"), ("needs_manual", "NEEDS_MANUAL_ANALYSIS")):
         entry[key] = [item["solution"] for item in trail if item["status"] == status]

@@ -269,25 +269,25 @@ class _Engine:
 
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
-    four exact steps ("the sweep": the 57 (rank, s) pairs of the oracle
-    sweep at bound 10^6, on 2 cores with Python 3.11):
+    four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
+    oracle sweep at bound 10^6; its searches take 0.56-0.64 s of CPU with
+    all four (Python 3.11, 2 cores, each figure from 3 or more runs):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 2.1-2.4 s of CPU with it and 2.8-3.2 s
-      without, all 114 pairs 3.8-5.3 s and 5.5-7.0 s (4 alternating runs
-      each).  A state that passes has `top` <= Dmax // dmin, and a child it
-      would cut is cut when popped.  The children of a rem = 2 state are not
-      popped: they close in `final_node`, exact for any state, past the cut
-      and the D = l close (the sweep's searches: 0.53-0.58 s of CPU both ways).
+      state: the sweep's searches take 0.81-0.83 s without it.  A state that
+      passes has `top` <= Dmax // dmin, and a child it would cut is cut when
+      popped.  The children of a rem = 2 state are not popped: they close in
+      `final_node`, exact for any state, past the cut and the D = l close
+      (the sweep's searches cost the same as when they were popped).
     * the D = l close: D is an odd multiple of l, so Dmax < 3l gives D = l,
       and `final_pick` closes the state (rem >= 1) with no child scan.  Each
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
-      The sweep's searches take 2.0-2.8 s with it and 3.4-4.6 s without.
+      The sweep's searches take 1.03-1.12 s without it.
     * the lcm cap, the only bounded filter in `children`, which now sees
       only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
-      skipped unless r <= Dmax // l.  Without it the sweep's searches took 88
-      and 93 s of CPU.
+      skipped unless r <= Dmax // l.  Without it the sweep's searches take
+      24.6-25.9 s.
     * `_finish` drops fpdim > bound: that test defines the bound, and it is
       the only bound test on the rows of `final_node`, `final_chain` and
       `final_pick`.

@@ -14,7 +14,6 @@ all read it from there.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from collections import Counter
@@ -30,25 +29,21 @@ CITE_FORCED_POINTED = "rule:squarefree-times-small-prime-power-is-pointed"
 CITE_SEMIDIRECT = "rule:semidirect-product-divisibility"
 
 
-class Verdict(enum.Enum):
-    PASS = "PASS"
-    DISCARD = "DISCARD"
-
-
 @dataclass(frozen=True)
 class FilterVerdict:
-    verdict: Verdict
+    """A rule's verdict, named by the rule's reason and citation.  A discard
+    carries what failed as its detail; a pass has none."""
     reason: str
     citation: str
-    detail: str = ""
+    detail: str | None = None
 
     def __post_init__(self):
-        if self.verdict is Verdict.DISCARD:
-            require(bool(self.reason and self.citation), "a discard names its reason and citation")
+        require(bool(self.reason and self.citation), "a verdict names its reason and citation")
+        require(self.detail is None or bool(self.detail), "a discard states its detail")
 
     @property
     def discard(self) -> bool:
-        return self.verdict is Verdict.DISCARD
+        return self.detail is not None
 
 
 def p_batch_violation(dims, p: int) -> tuple[int, int] | None:
@@ -68,15 +63,9 @@ def fixed_dim_multiplicity_filter(solution, p: int) -> FilterVerdict:
     """Each dim value not divisible by p must occur a multiple of 2p times
     in the full simple-object multiset (`p_batch_violation`)."""
     bad = p_batch_violation(solution.dims, p)
-    if bad is None:
-        return FilterVerdict(Verdict.PASS, "fixed-dim-multiplicity", CITE_FIXED_DIM)
-    value, pairs = bad
-    return FilterVerdict(
-        Verdict.DISCARD,
-        "fixed-dim-multiplicity",
-        CITE_FIXED_DIM,
-        detail=f"dim {value} occurs {2 * pairs} times; not 0 mod {2 * p} and {p} does not divide it",
-    )
+    detail = None if bad is None else (
+        f"dim {bad[0]} occurs {2 * bad[1]} times; not 0 mod {2 * p} and {p} does not divide it")
+    return FilterVerdict("fixed-dim-multiplicity", CITE_FIXED_DIM, detail)
 
 
 def deequiv_solution_filter(adjoint_dims, p: int, adjoint_fpdim: int) -> FilterVerdict:
@@ -97,6 +86,7 @@ def deequiv_solution_filter(adjoint_dims, p: int, adjoint_fpdim: int) -> FilterV
         raise ValueError("p must divide the layer fpdim")
     q = adjoint_fpdim // p
     counts = Counter(adjoint_dims).items()
+    detail = "every fixed/non-fixed assignment fails"
     if p_batch_violation(adjoint_dims, p) is None:
         choices = [range(0, pairs + 1, p) if v % p == 0 else (pairs,) for v, pairs in counts]
         for nonfixed in itertools.product(*choices):
@@ -105,10 +95,9 @@ def deequiv_solution_filter(adjoint_dims, p: int, adjoint_fpdim: int) -> FilterV
             dims = [v // p for (v, pairs), nf in chosen if nf < pairs]
             dims += [v for (v, _), nf in chosen if nf]
             if q % (1 + 2 * p * fixed_p) == 0 and all(q % (d * d) == 0 for d in dims):
-                return FilterVerdict(Verdict.PASS, "deequiv", CITE_DEEQUIV)
-    return FilterVerdict(
-        Verdict.DISCARD, "deequiv", CITE_DEEQUIV, detail="every fixed/non-fixed assignment fails"
-    )
+                detail = None
+                break
+    return FilterVerdict("deequiv", CITE_DEEQUIV, detail)
 
 
 def outside_dim_uniformity(solution, case) -> FilterVerdict | None:
@@ -123,47 +112,35 @@ def outside_dim_uniformity(solution, case) -> FilterVerdict | None:
     if not is_prime(p) or not non_adjoint_all_p:
         return None
     q, r = divmod(solution.fpdim, p * p)
-    if r != 0:
-        return FilterVerdict(
-            Verdict.DISCARD, "outside-dim-uniformity", CITE_UNIFORMITY,
-            detail=f"{p}^2 does not divide fpdim",
-        )
     d, square = isqrt_exact(q)
-    if not square:
-        return FilterVerdict(
-            Verdict.DISCARD, "outside-dim-uniformity", CITE_UNIFORMITY,
-            detail=f"fpdim/{p}^2 = {q} is not a perfect square",
-        )
     have = sum(2 for x in solution.dims if x == d)
-    if have < p * (p - 1):
-        return FilterVerdict(
-            Verdict.DISCARD, "outside-dim-uniformity", CITE_UNIFORMITY,
-            detail=f"need {p * (p - 1)} objects of dim {d}, found {have}",
-        )
-    return FilterVerdict(Verdict.PASS, "outside-dim-uniformity", CITE_UNIFORMITY)
+    if r:
+        detail = f"{p}^2 does not divide fpdim"
+    elif not square:
+        detail = f"fpdim/{p}^2 = {q} is not a perfect square"
+    elif have < p * (p - 1):
+        detail = f"need {p * (p - 1)} objects of dim {d}, found {have}"
+    else:
+        detail = None
+    return FilterVerdict("outside-dim-uniformity", CITE_UNIFORMITY, detail)
 
 
 def component_packing_feasible(solution, case) -> FilterVerdict:
     """All grading components have equal fpdim; check the full simple-object
     multiset can be partitioned into groups matching the case's rank
     multiset with equal squared-dim sums."""
-    n_bins = case.invertibles
-    if solution.fpdim % n_bins != 0:
-        return FilterVerdict(
-            Verdict.DISCARD, "component-packing", CITE_PACKING,
-            detail="invertible count does not divide fpdim",
-        )
-    target = solution.fpdim // n_bins
+    target, r = divmod(solution.fpdim, case.invertibles)
     # two objects per dual pair, and the invertibles as dim 1
     pairs = Counter(solution.dims)
     objects = pairs + pairs + Counter({1: solution.invertibles})
     sizes = case.component_ranks
-    if _pack_bins(tuple(sorted(objects.items(), reverse=True)), sizes, 0, target, None):
-        return FilterVerdict(Verdict.PASS, "component-packing", CITE_PACKING)
-    return FilterVerdict(
-        Verdict.DISCARD, "component-packing", CITE_PACKING,
-        detail=f"no partition into components of ranks {list(sizes)} with fpdim {target} each",
-    )
+    if r:
+        detail = "invertible count does not divide fpdim"
+    elif not _pack_bins(tuple(sorted(objects.items(), reverse=True)), sizes, 0, target, None):
+        detail = f"no partition into components of ranks {list(sizes)} with fpdim {target} each"
+    else:
+        detail = None
+    return FilterVerdict("component-packing", CITE_PACKING, detail)
 
 
 def _fills(counts, idx, size, budget, cap):
@@ -209,12 +186,15 @@ def dual_product_feasible(available_dims, d: int) -> FilterVerdict:
         for v in range(c, cap + 1):
             if reachable[v - c]:
                 reachable[v] = 1
-    if reachable[cap]:
-        return FilterVerdict(Verdict.PASS, "dual-product", CITE_DUAL_PRODUCT)
-    return FilterVerdict(
-        Verdict.DISCARD, "dual-product", CITE_DUAL_PRODUCT,
-        detail=f"{d}^2 = 1 + 2*sum over dims {coins} has no solution",
-    )
+    detail = None if reachable[cap] else f"{d}^2 = 1 + 2*sum over dims {coins} has no solution"
+    return FilterVerdict("dual-product", CITE_DUAL_PRODUCT, detail)
+
+
+def dual_product_rule(solution, case) -> FilterVerdict | None:
+    """`dual_product_feasible` for the smallest dim the invertible count does
+    not divide; None (no verdict) when it divides every dim."""
+    non_div = [d for d in solution.dims if d % case.invertibles]
+    return dual_product_feasible(sorted(set(solution.dims)), min(non_div)) if non_div else None
 
 
 def forced_pointed(fpdim: int) -> bool:
@@ -224,6 +204,15 @@ def forced_pointed(fpdim: int) -> bool:
         raise ValueError("fpdim must be odd")
     heavy = [e for _, e in factorize(fpdim).factors if e >= 2]
     return len(heavy) <= 1 and all(e <= 4 for e in heavy)
+
+
+def forced_pointed_rule(solution, case=None) -> FilterVerdict | None:
+    """Discard a solution whose fpdim is `forced_pointed`; None (no verdict)
+    otherwise."""
+    if not forced_pointed(solution.fpdim):
+        return None
+    return FilterVerdict("forced-pointed", CITE_FORCED_POINTED,
+                         f"fpdim {solution.fpdim} forces a pointed category")
 
 
 def semidirect_condition(p: int, q: int, a: int) -> bool:
@@ -249,5 +238,5 @@ def semidirect_model(solution, case=None) -> FilterVerdict | None:
         if eq == 2 and ep <= 4:
             candidates.append((q, p, ep))
     if any(semidirect_condition(pp, qq, a) for pp, qq, a in candidates):
-        return FilterVerdict(Verdict.PASS, "semidirect-model", CITE_SEMIDIRECT)
+        return FilterVerdict("semidirect-model", CITE_SEMIDIRECT)
     return None

@@ -13,7 +13,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactmath import factorize, is_prime, require
-from .filters import FilterVerdict, Verdict
+from .filters import FilterVerdict
+
+CITE_MIN_THREE = "rule:pointed-part-needs-three-large-components"
+CITE_DIVISIBILITY = "rule:non-adjoint-component-ranks-divisible-by-p"
+CITE_ODD_MULT = "rule:unique-odd-multiplicity-component-rank"
+CITE_ADJOINT_CONTAINS = "rule:adjoint-component-contains-all-invertibles"
 
 
 @dataclass(frozen=True)
@@ -90,15 +95,10 @@ def filter_min_three_components(case: GradingCase) -> FilterVerdict | None:
     if case.invertibles == 1:
         return None
     primes = [p for p, _ in factorize(case.invertibles).factors]
-    for p in primes:
-        if sum(1 for r in case.component_ranks if r >= p) >= 3:
-            return FilterVerdict(Verdict.PASS, "min-three-components", CITE_MIN_THREE)
-    return FilterVerdict(
-        Verdict.DISCARD,
-        "min-three-components",
-        CITE_MIN_THREE,
-        detail="no prime divisor of the invertible count has 3 components of rank >= p",
-    )
+    found = any(sum(1 for r in case.component_ranks if r >= p) >= 3 for p in primes)
+    detail = None if found else (
+        "no prime divisor of the invertible count has 3 components of rank >= p")
+    return FilterVerdict("min-three-components", CITE_MIN_THREE, detail)
 
 
 def filter_divisibility(case: GradingCase) -> FilterVerdict | None:
@@ -110,20 +110,12 @@ def filter_divisibility(case: GradingCase) -> FilterVerdict | None:
         return None
     nondiv = [r for r in case.component_ranks if r % p != 0]
     if len(nondiv) > 1:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "component-divisibility",
-            CITE_DIVISIBILITY,
-            detail=f"{len(nondiv)} components have rank not divisible by {p}",
-        )
-    if len(nondiv) == 1 and nondiv[0] != case.adjoint_rank:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "component-divisibility",
-            CITE_DIVISIBILITY,
-            detail="the non-divisible component cannot be the adjoint component",
-        )
-    return FilterVerdict(Verdict.PASS, "component-divisibility", CITE_DIVISIBILITY)
+        detail = f"{len(nondiv)} components have rank not divisible by {p}"
+    elif nondiv and nondiv[0] != case.adjoint_rank:
+        detail = "the non-divisible component cannot be the adjoint component"
+    else:
+        detail = None
+    return FilterVerdict("component-divisibility", CITE_DIVISIBILITY, detail)
 
 
 def filter_odd_multiplicity(case: GradingCase) -> FilterVerdict:
@@ -131,34 +123,22 @@ def filter_odd_multiplicity(case: GradingCase) -> FilterVerdict:
     component's rank), and it cannot be 1."""
     odd = case.odd_multiplicity_ranks()
     if len(odd) != 1:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "odd-multiplicity",
-            CITE_ODD_MULT,
-            detail=f"{len(odd)} rank values occur an odd number of times",
-        )
-    if odd[0] == 1:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "odd-multiplicity",
-            CITE_ODD_MULT,
-            detail="adjoint component would be rank 1",
-        )
-    return FilterVerdict(Verdict.PASS, "odd-multiplicity", CITE_ODD_MULT)
+        detail = f"{len(odd)} rank values occur an odd number of times"
+    elif odd[0] == 1:
+        detail = "adjoint component would be rank 1"
+    else:
+        detail = None
+    return FilterVerdict("odd-multiplicity", CITE_ODD_MULT, detail)
 
 
 def filter_adjoint_containment(case: GradingCase) -> FilterVerdict:
     """Every invertible lies in the adjoint component, so that component's
     rank must be at least the invertible count."""
     adjoint_rank = case.adjoint_rank or max(case.component_ranks)
+    detail = None
     if adjoint_rank < case.invertibles:
-        return FilterVerdict(
-            Verdict.DISCARD,
-            "adjoint-containment",
-            CITE_ADJOINT_CONTAINS,
-            detail=f"adjoint rank {adjoint_rank} < {case.invertibles} invertibles",
-        )
-    return FilterVerdict(Verdict.PASS, "adjoint-containment", CITE_ADJOINT_CONTAINS)
+        detail = f"adjoint rank {adjoint_rank} < {case.invertibles} invertibles"
+    return FilterVerdict("adjoint-containment", CITE_ADJOINT_CONTAINS, detail)
 
 
 #: Every grading-case discard rule, in report order.  A rule returns None
@@ -169,8 +149,3 @@ GRADING_FILTERS = (
     filter_odd_multiplicity,
     filter_adjoint_containment,
 )
-
-CITE_MIN_THREE = "rule:pointed-part-needs-three-large-components"
-CITE_DIVISIBILITY = "rule:non-adjoint-component-ranks-divisible-by-p"
-CITE_ODD_MULT = "rule:unique-odd-multiplicity-component-rank"
-CITE_ADJOINT_CONTAINS = "rule:adjoint-component-contains-all-invertibles"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -136,6 +137,35 @@ PAPER_CLAIMS = {
 PAPER_OPEN_CELLS = {(17, 3), (25, 5), (27, 3), (35, 3), (35, 9), (37, 3),
                     (43, 3), (43, 9), (45, 3), (47, 3)}
 
+
+# classify(25)'s (25, 3) filter trail, one entry per T1 row in table order:
+# the sha256 of every step (canonical JSON), and each row's last step as
+# (filter, detail of a discard or "PASS").
+FIXED = "dim {} occurs {} times; not 0 mod 6 and 3 does not divide it"
+DEEQUIV = ("deequiv", "every fixed/non-fixed assignment fails")
+RANK25_TRAIL_SHA256 = "84ecfe2aaa120ee094c937e0bf50e37bf78753fd0e9e7ef58476a6b3b431c90b"
+RANK25_TRAIL_LAST = [
+    *(("fixed-dim-multiplicity", FIXED.format(v, n)) for v, n in (
+        (49, 2), (275, 2), (175, 2), (7, 2), (11, 2), (5, 2), (5, 2), (7, 2), (7, 2),
+        (11, 2), (5, 2), (5, 2), (5, 4), (11, 2), (85, 4))),
+    DEEQUIV,
+    *(("fixed-dim-multiplicity", FIXED.format(v, n)) for v, n in (
+        (7, 4), (11, 2), (55, 4))),
+    ("dual-product", "5^2 = 1 + 2*sum over dims [5] has no solution"),
+    *(("fixed-dim-multiplicity", FIXED.format(v, n)) for v, n in (
+        (5, 2), (5, 2), (5, 2), (13, 4))),
+    DEEQUIV,
+    ("fixed-dim-multiplicity", FIXED.format(5, 4)),
+    ("fixed-dim-multiplicity", FIXED.format(5, 4)),
+    DEEQUIV,
+    DEEQUIV,
+    ("fixed-dim-multiplicity", FIXED.format(5, 4)),
+    ("dual-product", "PASS"),
+    ("dual-product", "PASS"),
+    DEEQUIV,
+    ("outside-dim-uniformity", "need 6 objects of dim 15, found 4"),
+    ("semidirect-model", "PASS"),
+]
 
 RANK17_MD = """\
 # Classification report: rank 17
@@ -356,6 +386,14 @@ class TestClassify:
         trail = [item["solution"] for item in hyp[25, 3]["filter_trail"]]
         assert trail == [cli._sol_record(r) for r in golden_tables["T1"].rows]
         assert hyp[41, 5]["solutions"] == [cli._sol_record(r) for r in golden_tables["T3"].rows]
+
+    def test_rank25_filter_trail_pinned(self, classify_reports):
+        (hyp,) = (h for h in classify_reports[25]["hypotheses"] if h["invertibles"] == 3)
+        steps = [item["steps"] for item in hyp["filter_trail"]]
+        canonical = json.dumps(steps, sort_keys=True, separators=(",", ":"))
+        last = [(s[-1]["filter"], s[-1].get("detail", s[-1].get("verdict"))) for s in steps]
+        assert last == RANK25_TRAIL_LAST
+        assert hashlib.sha256(canonical.encode()).hexdigest() == RANK25_TRAIL_SHA256
 
     def test_md_rank17(self, capsys):
         assert run(capsys, "classify", "--rank", "17") == (0, RANK17_MD)

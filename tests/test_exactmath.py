@@ -70,13 +70,14 @@ class TestFactorize:
     def test_value_invariants_enforced_under_optimize(self):
         code = (
             "from oddmtc.exactmath import Factorization, InvariantError\n"
-            "from oddmtc.filters import FilterVerdict, Verdict\n"
+            "from oddmtc.filters import FilterVerdict\n"
             "from oddmtc.gradings import GradingCase\n"
             "assert False, 'assert statements are live'\n"
             "broken = [\n"
             "    lambda: Factorization(((5, 1), (3, 1))),\n"
             "    lambda: GradingCase((3, 3, 1)),\n"
-            "    lambda: FilterVerdict(Verdict.DISCARD, '', ''),\n"
+            "    lambda: FilterVerdict('', '', 'x'),\n"
+            "    lambda: FilterVerdict('r', 'c', ''),\n"
             "]\n"
             "for make in broken:\n"
             "    try:\n"
@@ -90,7 +91,7 @@ class TestFactorize:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "rejected\n" * 3
+        assert proc.stdout == "rejected\n" * 4
 
 
 class TestSquarefreeSplit:

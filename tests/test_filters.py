@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddmtc import filters
+from oddmtc import cli, filters
 from oddmtc.dimsearch import DimSolution
-from oddmtc.filters import Verdict
-from oddmtc.gradings import GradingCase
+from oddmtc.gradings import (
+    GRADING_FILTERS, GradingCase, enumerate_cases, invertible_count_candidates,
+)
 
 from t1_reference import T1_ROWS
 
@@ -128,11 +129,10 @@ class TestChainOnTable1:
         assert discards == [26, 27, 29, 31, 33]
 
     def test_dual_product_discards_row_9(self):
+        # the rule tests the smallest dim 3 does not divide
         for i in (9, 28, 32, 34):
-            sol = t1_solution(i)
-            non_div = [d for d in sol.dims if d % 3]
-            verdict = filters.dual_product_feasible(sorted(set(sol.dims)), min(non_div))
-            assert verdict.discard == (i == 9)
+            assert filters.dual_product_rule(t1_solution(i), RANK25_CASE).discard == (i == 9)
+        assert filters.dual_product_rule(DimSolution(81, 3, (3, 9)), RANK25_CASE) is None
 
     def test_row_34_survives_everything(self):
         sol = t1_solution(34)
@@ -177,7 +177,7 @@ class TestPacking:
 
 class TestDualProduct:
     def test_examples(self):
-        assert filters.dual_product_feasible([3, 7], 7).verdict is Verdict.PASS
+        assert not filters.dual_product_feasible([3, 7], 7).discard
         assert filters.dual_product_feasible([5], 5).discard
 
     @given(coins=st.lists(st.integers(3, 25).map(lambda x: x | 1), min_size=1,
@@ -208,6 +208,12 @@ class TestNumberTheoryFilters:
         with pytest.raises(ValueError):
             filters.forced_pointed(12)
 
+    def test_forced_pointed_rule(self):
+        verdict = filters.forced_pointed_rule(DimSolution(3 * 5 * 7, 3, ()), RANK25_CASE)
+        assert verdict.discard and verdict.citation == filters.CITE_FORCED_POINTED
+        assert verdict.detail == "fpdim 105 forces a pointed category"
+        assert filters.forced_pointed_rule(t1_solution(34), RANK25_CASE) is None
+
     def test_semidirect_condition(self):
         assert filters.semidirect_condition(3, 7, 2)   # 3 | 7 - 1
         assert filters.semidirect_condition(5, 11, 1)  # 5 | 11 - 1
@@ -221,8 +227,38 @@ class TestNumberTheoryFilters:
             filters.semidirect_condition(3, 7, 5)
 
     def test_semidirect_model(self):
-        assert filters.semidirect_model(t1_solution(34), RANK25_CASE).verdict is Verdict.PASS
+        assert not filters.semidirect_model(t1_solution(34), RANK25_CASE).discard
         assert filters.semidirect_model(DimSolution(3**2 * 5**4, 3, ())) is None
         assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, ())) is None
         assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, ())) is None
 
+
+def one_label_per_rule(verdicts_by_rule: dict) -> dict:
+    """Each rule's set of (reason, citation) labels over its verdicts, after
+    checking that it has at most one, that no two rules share a reason or a
+    citation, and that a verdict is a discard exactly when its detail is a
+    non-empty string."""
+    labels = {}
+    for rule, verdicts in verdicts_by_rule.items():
+        given = [v for v in verdicts if v is not None]
+        for v in given:
+            assert v.discard == (isinstance(v.detail, str) and v.detail != "")
+        labels[rule] = {(v.reason, v.citation) for v in given}
+        assert len(labels[rule]) <= 1, rule
+    for part in (0, 1):
+        named = [label[part] for got in labels.values() for label in got]
+        assert len(set(named)) == len(named)
+    return labels
+
+
+class TestOneLabelPerRule:
+    def test_grading_filters(self):
+        cases = [c for rank in range(17, 50, 2) for s in invertible_count_candidates(rank)
+                 for c in enumerate_cases(rank, s)]
+        labels = one_label_per_rule({f: [f(c) for c in cases] for f in GRADING_FILTERS})
+        assert all(len(got) == 1 for got in labels.values())
+
+    def test_prime_chain_on_table1(self):
+        sols = [t1_solution(i) for i in range(1, 36)]
+        one_label_per_rule({step: [step(sol, RANK25_CASE) for sol in sols]
+                            for step in cli.PRIME_CHAIN})
