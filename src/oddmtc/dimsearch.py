@@ -40,8 +40,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from multiprocessing import Pool
+from operator import attrgetter
 
 from .exactmath import (
+    InvariantError,
     is_prime_power,
     isqrt_exact,
     require,
@@ -126,11 +128,22 @@ class DimSolution:
 
     @property
     def quotients(self) -> tuple[int, ...]:
-        """m_i = fpdim / d_i^2 (rounded down; `validate_solution` checks it is exact)."""
+        """m_i = fpdim / d_i^2, rounded down; exact for every row that
+        passes `validate_solution`."""
         return tuple(self.fpdim // (d * d) for d in self.dims)
 
     def sort_key(self):
+        """Ascending key of the canonical order.  It copies the dims negated,
+        so `canonical` does not use it; `perfbench/workload.py` does."""
         return (-self.fpdim, tuple(-d for d in self.dims))
+
+
+def canonical(rows) -> list[DimSolution]:
+    """Rows in canonical order: fpdim descending, then dims descending.
+
+    The rows of one search are duplicate-free and all have k dims, so this
+    is the order of `DimSolution.sort_key`, without a copy of any row."""
+    return sorted(rows, key=attrgetter("fpdim", "dims"), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -147,8 +160,8 @@ def diff_rows(want, got) -> RowDiff:
     """The one row comparison: keyed by (fpdim, dims), ascending by key."""
     want = {(r.fpdim, r.dims): r for r in want}
     got = {(r.fpdim, r.dims): r for r in got}
-    return RowDiff(tuple(r for key, r in sorted(want.items()) if key not in got),
-                   tuple(r for key, r in sorted(got.items()) if key not in want))
+    return RowDiff(tuple(want[key] for key in sorted(want.keys() - got.keys())),
+                   tuple(got[key] for key in sorted(got.keys() - want.keys())))
 
 
 def validate_solution(sol: DimSolution, params: SearchParams) -> None:
@@ -156,25 +169,35 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     InvariantError on failure.
 
     Deliberately computed from the defining equations, sharing nothing with
-    the recursion that produced the solution.
+    the recursion that produced the solution.  One pass over the dims, with
+    one divmod each.  No row that passes the checks before them fails the
+    two quotient checks: an exact quotient of the odd fpdim is odd, and the
+    exact quotients of nonincreasing dims are nondecreasing.
     """
+    fpdim, dims = sol.fpdim, sol.dims
     s = params.layer_invertibles
-    g = params.group_order
     require(sol.invertibles == s, "invertible count")
-    require(len(sol.dims) == params.k, "number of dual pairs")
-    require(sol.fpdim == g * (s + 2 * sum(d * d for d in sol.dims)), "fpdim equation")
-    require(sol.fpdim % 2 == 1, "fpdim odd")
-    require(sol.fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
-    require(list(sol.dims) == sorted(sol.dims, reverse=True), "dims nonincreasing")
-    prev = 0
-    for d, m in zip(sol.dims, sol.quotients):
-        require(d % 2 == 1 and d >= 3, "dim odd and at least 3")
-        require(m * d * d == sol.fpdim, "quotient times dim squared is fpdim")
-        require(m % 2 == 1, "quotient odd")
-        require(m >= prev, "quotients nondecreasing")
-        prev = m
-        if params.perfect:
-            require(d >= 15 and not is_prime_power(d), "perfect-layer dim")
+    require(len(dims) == params.k, "number of dual pairs")
+    require(fpdim % 2 == 1, "fpdim odd")
+    require(fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
+    require(fpdim == params.group_order * (s + 2 * sum(d * d for d in dims)), "fpdim equation")
+    perfect = params.perfect
+    prev_d, prev_m = dims[0], 0
+    for d in dims:
+        if d > prev_d:
+            raise InvariantError("dims nonincreasing")
+        if d < 3 or d % 2 == 0:
+            raise InvariantError("dim odd and at least 3")
+        m, r = divmod(fpdim, d * d)
+        if r:
+            raise InvariantError("quotient times dim squared is fpdim")
+        if m % 2 == 0:
+            raise InvariantError("quotient odd")
+        if m < prev_m:
+            raise InvariantError("quotients nondecreasing")
+        if perfect and (d < 15 or is_prime_power(d)):
+            raise InvariantError("perfect-layer dim")
+        prev_d, prev_m = d, m
 
 
 def m1_candidates(params: SearchParams) -> list[int]:
@@ -492,4 +515,4 @@ def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution
     require(len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions")
     for sol in out:
         validate_solution(sol, params)
-    return sorted(out, key=DimSolution.sort_key)
+    return canonical(out)

@@ -8,8 +8,15 @@ with the recursive engine.  A row needs R = root_part(fpdim) >= dmin
 (every dim d has d^2 | fpdim) and k*R^2 >= half, i.e. fpdim <= g*(2k*R^2 + s).
 So the candidates are R^2 * j over odd R >= dmin, j = rank (mod 8) as
 R^2 = 1 (mod 8), up to that cap.  The cap grows with R and root_part(R^2 * j)
-is a multiple of R, so this set is exactly what the cut passes.  As
+is a multiple of R, so this set is exactly what the cut passes.  Every dim
+is odd, so d^2 = 1 (mod 8) and half = sum d^2 = k (mod 8): `_solve_fpdim`
+drops the other half of the candidates before it factors anything.  As
 root_part(R^2 * j) = R * root_part(j), only j is factored.
+
+`_pick` takes the divisors largest first, so the first one it takes is d_1;
+it tests the predicates on m_1 = fpdim / d_1^2 there, and `_predicates_ok`
+tests every predicate again on each full row.  That keeps the oracle run
+at each golden table's largest row short enough for tier-1, T3 included.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from math import isqrt
 
-from .dimsearch import DimSolution, RowDiff, SearchParams, diff_rows
+from .dimsearch import DimSolution, RowDiff, SearchParams, canonical, diff_rows
 from .exactmath import is_prime_power, squarefree_split
 
 
@@ -40,7 +47,7 @@ def oracle_enumerate(params: SearchParams) -> list[DimSolution]:
     out = []
     for fpdim, root in _candidate_fpdims(params):
         out.extend(_solve_fpdim(fpdim, root, params))
-    return sorted(out, key=DimSolution.sort_key)
+    return canonical(out)
 
 
 def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
@@ -68,6 +75,9 @@ def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> list[DimSolutio
     if target < 2 * k * dmin * dmin or target % 2 != 0:
         return []
     half = target // 2  # sum of k squared dims
+    # every dim is odd, so d^2 = 1 (mod 8) and half = k (mod 8)
+    if (half - k) % 8:
+        return []
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part;
     # root^2 divides fpdim, and root_part(root^2 * j) = root * root_part(j)
     root_part = root * squarefree_split(fpdim // (root * root))[0]
@@ -106,7 +116,10 @@ def _pick(divs, idx, need, budget, acc, sols, fpdim, params):
     # the same bounds for the next call, tested before making it; past the
     # last divisor only need = budget = 0 is left
     next2 = divs[idx + 1] ** 2 if idx + 1 < len(divs) else 0
-    for take in range(min(need, budget // d2), -1, -1):
+    # divisors come largest first, so with acc empty a take > 0 makes d the
+    # row's d_1: take none when m_1 = fpdim / d^2 fails its predicates
+    most = min(need, budget // d2) if acc or _m1_ok(fpdim // d2, params) else 0
+    for take in range(most, -1, -1):
         rest, left = budget - take * d2, need - take
         if rest > left * next2:
             break
@@ -118,18 +131,26 @@ def _pick(divs, idx, need, budget, acc, sols, fpdim, params):
             del acc[-take:]
 
 
-def _predicates_ok(sol: DimSolution, params: SearchParams) -> bool:
-    m = sol.quotients[0]
+def _m1_ok(m: int, params: SearchParams) -> bool:
+    """The predicates on m_1 alone."""
     if m < max(params.min_m1, params.invertibles):
         return False
     if params.m1_square and isqrt(m) ** 2 != m:
         return False
     if m in params.m1_exclude:
         return False
-    if params.mi_coprime and any(q % params.mi_coprime == 0 for q in sol.quotients):
+    return not (params.mi_coprime and m % params.mi_coprime == 0)
+
+
+def _predicates_ok(sol: DimSolution, params: SearchParams) -> bool:
+    fpdim, dims = sol.fpdim, sol.dims
+    if not _m1_ok(fpdim // (dims[0] * dims[0]), params):
+        return False
+    cop = params.mi_coprime
+    if cop and any(fpdim // (d * d) % cop == 0 for d in dims[1:]):
         return False
     if params.min_run:
-        counts = Counter(sol.dims)
+        counts = Counter(dims)
         if max(counts.values()) < params.min_run:
             return False
         # dims outside the equal groups are fixed, hence divisible by the

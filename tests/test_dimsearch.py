@@ -17,6 +17,7 @@ from oddmtc.dimsearch import (
     _Engine,
     _finish,
     _min_run_ok,
+    canonical,
     diff_rows,
     enumerate_solutions,
     m1_candidates,
@@ -26,6 +27,10 @@ from oddmtc.exactmath import InvariantError, factorize, isqrt_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
+# a perfect-layer row that passes every check but the perfect-layer dim:
+# every dim is at least 15, and 27 = 3^3 and 25 = 5^2 are prime powers
+PERFECT_PARAMS = SearchParams(rank=25, invertibles=1)
+PERFECT_ROW = DimSolution(455625, 1, (225, 225, 225, 225, 75, 75, 75, 75, 27, 27, 27, 25))
 # the basic, perfect and two adjoint layers (s = 3, 1, 5, 3; g = 1, 1, 5, 15;
 # dmin = 3, 15, 3, 3); the prime 5 of g = 15 is not in s = 3, so final_node's
 # floor must strip g from Q
@@ -292,10 +297,9 @@ class TestFinalNode:
             states = list(states)
             start = len(eng.out)
             bounded(eng, prefix, states, levels)
-            got = sorted(eng.out[start:], key=DimSolution.sort_key)
-            want = sorted((sol for u, Q, l in states for sol in
-                           _final_node_reference(eng, Q, l, u, prefix + (u,), levels)),
-                          key=DimSolution.sort_key)
+            got = canonical(eng.out[start:])
+            want = canonical(sol for u, Q, l in states for sol in
+                             _final_node_reference(eng, Q, l, u, prefix + (u,), levels))
             assert got == want, (prefix, states, levels)
             calls, rows = counts.get(levels, (0, 0))
             counts[levels] = (calls + len(states), rows + len(got))
@@ -412,9 +416,8 @@ class TestFinalNode:
         eng = _Engine(params, w)
         path = (u,) * copies
         eng.final_node(path[:-1], [(u, Q, l)], levels)
-        got = sorted(eng.out, key=DimSolution.sort_key)
-        want = _final_node_reference(eng, Q, l, u, path, levels)
-        assert got == sorted(want, key=DimSolution.sort_key)
+        got = canonical(eng.out)
+        assert got == canonical(_final_node_reference(eng, Q, l, u, path, levels))
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            lead=st.lists(st.integers(0, 7).map(lambda x: 2 * x + 1), max_size=2),
@@ -449,10 +452,10 @@ class TestFinalNode:
         Q, l = g * (s + 2 * d1 * d1 + 2 * d2 * d2), D
         eng = _Engine(params, w)
         eng.final_node(path, eng.children(Q, l, u, 2), 1)
-        got = sorted(eng.out, key=DimSolution.sort_key)
+        got = canonical(eng.out)
         want = [sol for up, Qn, ln in eng.children(Q, l, u, 2)
                 for sol in _final_node_reference(eng, Qn, ln, up, path + (up,), 1)]
-        assert got == sorted(want, key=DimSolution.sort_key)
+        assert got == canonical(want)
         row = _finish(path + (u1, u2), d2, w, params)
         if row is not None and not (cop and any(w * v * v % cop == 0 for v in (u1, u2))):
             assert row in got
@@ -494,9 +497,8 @@ class TestFinalPick:
             assert eng.Dmax < 3 * l
             start = len(eng.out)
             pick(eng, Q, l, u, path, rem)
-            got = sorted(eng.out[start:], key=DimSolution.sort_key)
-            want = sorted(_final_pick_reference(eng, Q, l, u, path, rem),
-                          key=DimSolution.sort_key)
+            got = canonical(eng.out[start:])
+            want = canonical(_final_pick_reference(eng, Q, l, u, path, rem))
             assert got == want, (Q, l, u, path, rem)
             counts["calls"] += 1
             counts["rows"] += len(got)
@@ -544,9 +546,8 @@ class TestFinalPick:
         assert l <= eng.Dmax == Dmax < 3 * l
         Q += 2 * shift
         eng.final_pick(Q, l, u, path, len(dims))
-        got = sorted(eng.out, key=DimSolution.sort_key)
-        assert got == sorted(_final_pick_reference(eng, Q, l, u, path, len(dims)),
-                             key=DimSolution.sort_key)
+        got = canonical(eng.out)
+        assert got == canonical(_final_pick_reference(eng, Q, l, u, path, len(dims)))
         assert not (shift and got)
         row = _finish(path + tuple(planted), dims[-1], w, params)
         if (row is not None and not shift
@@ -619,6 +620,15 @@ class TestMinRunPredicate:
         assert not _min_run_ok((15, 15, 15, 5, 5), 5)
 
 
+def assert_canonical(rows):
+    """The canonical order on its own terms: each row has a larger fpdim
+    than the next, or the same fpdim and larger dims.  Some rows share an
+    fpdim, so the dims decide somewhere."""
+    assert any(a.fpdim == b.fpdim for a, b in zip(rows, rows[1:]))
+    for a, b in zip(rows, rows[1:]):
+        assert a.fpdim > b.fpdim or a.fpdim == b.fpdim and a.dims > b.dims, (a, b)
+
+
 class TestEnumerateSolutions:
     def test_rank27_pinpoint(self):
         sols = enumerate_solutions(RANK27)
@@ -636,10 +646,15 @@ class TestEnumerateSolutions:
 
     def test_canonical_order_and_quotients(self, rank25_solutions):
         sols = rank25_solutions
-        assert sols == sorted(sols, key=DimSolution.sort_key)
+        assert_canonical(sols)
         for s in sols:
             assert s.quotients == tuple(s.fpdim // (d * d) for d in s.dims)
             assert list(s.quotients) == sorted(s.quotients)
+
+    def test_oracle_rows_in_canonical_order(self):
+        rows = oracle.oracle_enumerate(SearchParams(rank=49, invertibles=5, fpdim_bound=10**5))
+        assert len(rows) == 188
+        assert_canonical(rows)
 
     def test_jobs_equivalence(self):
         assert enumerate_solutions(RANK27, jobs=1) == enumerate_solutions(RANK27, jobs=2)
@@ -693,36 +708,59 @@ class TestValidateSolution:
                 validate_solution(row, table.params)
 
     def test_tampered_rows_rejected(self, golden_tables):
+        """One tampered row per check, each failing there first.  A dim of 1
+        keeps d^2 = 1 (mod 8), so it passes every row check; an even dim
+        fails the mod-8 check first.  The quotient checks ("quotient odd",
+        "quotients nondecreasing") follow from the fpdim, order and
+        exactness checks, so no row reaches them."""
         t1 = golden_tables["T1"]
-        row = t1.rows[0]
-        bad_fpdim = DimSolution(row.fpdim + 8, row.invertibles, row.dims)
-        with pytest.raises(InvariantError):
-            validate_solution(bad_fpdim, t1.params)
-        bad_dims = DimSolution(row.fpdim, row.invertibles,
-                               row.dims[:-1] + (row.dims[-1] + 2,))
-        with pytest.raises(InvariantError):
-            validate_solution(bad_dims, t1.params)
+        row = t1.rows[1]
+        assert len(set(row.dims)) > 1
+
+        def layer(dims):
+            return DimSolution(3 + 2 * sum(d * d for d in dims), 3, dims)
+
+        cases = [
+            (replace(row, invertibles=5), t1.params, "invertible count"),
+            (layer(row.dims + (3,)), t1.params, "number of dual pairs"),
+            (replace(row, fpdim=row.fpdim + 1), t1.params, "fpdim odd"),
+            (replace(row, fpdim=row.fpdim + 2), t1.params, "fpdim congruent to rank mod 8"),
+            (replace(row, fpdim=row.fpdim + 8), t1.params, "fpdim equation"),
+            (replace(row, dims=row.dims[:-1] + (row.dims[-1] + 2,)), t1.params,
+             "fpdim equation"),
+            (replace(row, dims=row.dims[::-1]), t1.params, "dims nonincreasing"),
+            (layer((1,) * 11), t1.params, "dim odd and at least 3"),
+            (layer((5,) + (3,) * 10), t1.params, "quotient times dim squared is fpdim"),
+            (PERFECT_ROW, PERFECT_PARAMS, "perfect-layer dim"),
+        ]
+        for bad, params, message in cases:
+            with pytest.raises(InvariantError, match=f"^{message}$"):
+                validate_solution(bad, params)
 
     def test_tampered_row_rejected_under_optimize(self):
+        """A row check and two per-dim checks still raise under -O."""
         code = (
             "from dataclasses import replace\n"
             "from oddmtc import goldens\n"
-            "from oddmtc.dimsearch import validate_solution\n"
+            "from oddmtc.dimsearch import DimSolution, SearchParams, validate_solution\n"
             "from oddmtc.exactmath import InvariantError\n"
             "assert False, 'assert statements are live'\n"
             "t1 = next(t for t in goldens.load_goldens() if t.table_id == 'T1')\n"
-            "row = t1.rows[0]\n"
-            "try:\n"
-            "    validate_solution(replace(row, fpdim=row.fpdim + 8), t1.params)\n"
-            "except InvariantError:\n"
-            "    print('rejected')\n"
+            "row = t1.rows[1]\n"
+            "for bad, params in [(replace(row, fpdim=row.fpdim + 8), t1.params),\n"
+            "                    (replace(row, dims=row.dims[::-1]), t1.params),\n"
+            f"                    ({PERFECT_ROW!r}, {PERFECT_PARAMS!r})]:\n"
+            "    try:\n"
+            "        validate_solution(bad, params)\n"
+            "    except InvariantError as exc:\n"
+            "        print(exc)\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "rejected\n"
+        assert proc.stdout == "fpdim equation\ndims nonincreasing\nperfect-layer dim\n"
 
 
 class TestEngineAgainstOracle:

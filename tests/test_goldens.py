@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from oddmtc import goldens
+from oddmtc.dimsearch import canonical
 
 
 EXPECTED_ROW_COUNTS = {
@@ -44,8 +45,7 @@ class TestLoadGoldens:
 
     def test_rows_canonically_sorted(self, golden_tables):
         for table in golden_tables.values():
-            keys = [r.sort_key() for r in table.rows]
-            assert keys == sorted(keys)
+            assert list(table.rows) == canonical(table.rows)
 
     def test_checksum_detects_tampering(self):
         entry, raw = _entry_and_raw("T1")

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (DimSolution, SearchParams, _Engine, diff_rows,
+from oddmtc.dimsearch import (SearchParams, _Engine, canonical, diff_rows,
                                enumerate_solutions, validate_solution)
 from oddmtc.exactmath import squarefree_split
 from oddmtc.filters import fixed_dim_multiplicity_filter
@@ -32,6 +32,15 @@ class TestOracleEnumerate:
         params = SearchParams(rank=41, invertibles=5, min_m1=25, m1_square=True,
                               fpdim_bound=10**6)
         check_equivalence(params)
+
+    def test_m1_exclude_spares_later_quotients(self):
+        """`_pick` tests the m1 predicates on d_1 alone: rows that have the
+        excluded value as a later quotient stay."""
+        params = SearchParams(rank=25, invertibles=3, m1_exclude=frozenset({25}),
+                              fpdim_bound=10**6)
+        rows = check_equivalence(params)
+        assert len(rows) == 16
+        assert sum(25 in row.quotients[1:] for row in rows) == 11
 
     @pytest.mark.parametrize("rank, s, cop, size", [
         (19, 3, 9, 0), (19, 3, 15, 0), (17, 3, 25, 0), (25, 3, 25, 3), (27, 3, 15, 4)])
@@ -99,12 +108,11 @@ class TestOracleEnumerate:
 
 
 class TestGoldenTablesUpToLargestRow:
-    @pytest.mark.parametrize("table_id", ["T1", "T2", "T4", "T5", "T6", "T7", "T8"])
+    @pytest.mark.parametrize("table_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"])
     def test_oracle_gives_the_table(self, golden_tables, table_id):
         """The oracle bounded by the table's largest fpdim, then the table's
         post filter, gives exactly the table's rows.  This certifies every
-        row up to that fpdim; it says nothing about rows above it.  T3 is
-        left out: its oracle run takes about 100 s, in `_pick`."""
+        row up to that fpdim; it says nothing about rows above it."""
         table = golden_tables[table_id]
         bound = max(row.fpdim for row in table.rows)
         rows = oracle.oracle_enumerate(replace(table.params, fpdim_bound=bound))
@@ -148,11 +156,11 @@ class TestCandidateFpdims:
 
 
 class TestSolveFpdimFirstCut:
-    """`_solve_fpdim` returns early when k * root_part^2 < half; `_pick` run
-    on the full divisor list must agree at every fpdim = rank (mod 8), given
-    any odd R with R^2 | fpdim, and
-    `oracle_enumerate`, which visits only the candidates, must return what
-    this full loop returns."""
+    """`_solve_fpdim` returns early when half != k (mod 8), as every d^2 = 1
+    (mod 8), and when k * root_part^2 < half; `_pick` run on the full
+    divisor list must agree at every fpdim = rank (mod 8), given any odd R
+    with R^2 | fpdim, and `oracle_enumerate`, which visits only the
+    candidates, must return what this full loop returns."""
 
     @pytest.mark.parametrize("params, bound", [
         (SearchParams(rank=25, invertibles=3), 10 ** 5),
@@ -162,22 +170,27 @@ class TestSolveFpdimFirstCut:
         s, g, k = params.layer_invertibles, params.group_order, params.k
         floor = params.dmin
         rows = []
+        # fpdims that only the mod-8 cut returns early at
+        mod8_cut = 0
         for fpdim in range(params.rank % 8, bound + 1, 8):
             want = []
             layer, r = divmod(fpdim, g)
             root_part = squarefree_split(fpdim)[0]
             if not r and (layer - s) % 2 == 0:
+                half = (layer - s) // 2
                 divisors = [d for d in oracle._odd_divisors_at_least(root_part, floor)
                             if (fpdim // (d * d)) % 2 == 1]
-                oracle._pick(divisors, 0, k, (layer - s) // 2, [], want, fpdim, params)
+                oracle._pick(divisors, 0, k, half, [], want, fpdim, params)
+                mod8_cut += ((half - k) % 8 != 0 and half >= k * floor * floor
+                             and k * root_part * root_part >= half)
             # every odd R with R^2 | fpdim gives the same root part
             for root in oracle._odd_divisors_at_least(root_part, 1):
                 got = oracle._solve_fpdim(fpdim, root, params)
                 assert got == want, (fpdim, root)
             rows.extend(want)
-        assert rows
+        assert rows and mod8_cut
         bounded = replace(params, fpdim_bound=bound)
-        assert oracle.oracle_enumerate(bounded) == sorted(rows, key=DimSolution.sort_key)
+        assert oracle.oracle_enumerate(bounded) == canonical(rows)
 
 
 class TestCompare:
