@@ -29,8 +29,11 @@ min-run tail, by a scan of the odd u_k that the window of d_k allows;
 nothing is factored there.  With fpdim_bound set, the same search adds
 exact prunes, and `_Engine.final_pick` closes every state whose D must
 equal l by picking the remaining dims among the divisors of l (see
-`_Engine`); `tests/test_oracle.py` and Criterion 9 check the bounded search
-against the brute-force oracle.
+`_Engine`).  The oracle checks the bounded search (`tests/test_oracle.py`,
+Criterion 9).  Past its bound, three steps rest on proof alone: tests plant
+completions through `children`' `top` and `first` at rem = 2 only
+(`test_planted_two_level_batch`) and none through the min-run rule's drops
+or the state cut and lcm cap; `TestFinalPick` plants the D = l close.
 """
 
 from __future__ import annotations
@@ -169,10 +172,10 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     InvariantError on failure.
 
     Deliberately computed from the defining equations, sharing nothing with
-    the recursion that produced the solution.  One pass over the dims, with
-    one divmod each.  No row that passes the checks before them fails the
-    two quotient checks: an exact quotient of the odd fpdim is odd, and the
-    exact quotients of nonincreasing dims are nondecreasing.
+    the recursion that produced the solution, in one pass over the dims.
+    Quotients need no check: an exact quotient of the odd fpdim is odd, and
+    those of nonincreasing dims are nondecreasing.  Each odd d in 3..13 is
+    a prime power, so the perfect-layer test also keeps d >= 15.
     """
     fpdim, dims = sol.fpdim, sol.dims
     s = params.layer_invertibles
@@ -182,22 +185,17 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     require(fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
     require(fpdim == params.group_order * (s + 2 * sum(d * d for d in dims)), "fpdim equation")
     perfect = params.perfect
-    prev_d, prev_m = dims[0], 0
+    prev = dims[0]
     for d in dims:
-        if d > prev_d:
+        if d > prev:
             raise InvariantError("dims nonincreasing")
         if d < 3 or d % 2 == 0:
             raise InvariantError("dim odd and at least 3")
-        m, r = divmod(fpdim, d * d)
-        if r:
+        if fpdim % (d * d):
             raise InvariantError("quotient times dim squared is fpdim")
-        if m % 2 == 0:
-            raise InvariantError("quotient odd")
-        if m < prev_m:
-            raise InvariantError("quotients nondecreasing")
-        if perfect and (d < 15 or is_prime_power(d)):
+        if perfect and is_prime_power(d):
             raise InvariantError("perfect-layer dim")
-        prev_d, prev_m = d, m
+        prev = d
 
 
 def m1_candidates(params: SearchParams) -> list[int]:

@@ -20,6 +20,7 @@ from importlib import resources
 
 from .dimsearch import (DimSolution, RowDiff, SearchParams, diff_rows,
                         enumerate_solutions, validate_solution)
+from .exactmath import InvariantError
 from .filters import fixed_dim_multiplicity_filter
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
@@ -97,7 +98,10 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
     if [_parse_factored(text) for text in entry["fpdim_factored"]] != [r.fpdim for r in rows]:
         raise GoldenDataError(f"{table_id}: factored fpdims do not match the rows")
     for row in rows:
-        validate_solution(row, params)
+        try:
+            validate_solution(row, params)
+        except InvariantError as exc:
+            raise GoldenDataError(f"{table_id}: row {row.fpdim} {row.dims} fails {exc}") from exc
     post_filter = entry.get("post_filter")
     post_filter_p = None
     if post_filter is not None:

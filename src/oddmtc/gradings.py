@@ -74,18 +74,15 @@ def enumerate_cases(rank: int, invertibles: int) -> list[GradingCase]:
     return sorted(cases, key=lambda c: c.component_ranks, reverse=True)
 
 
-def _partitions_at_most(n: int, parts: int, lo: int = 1) -> list[tuple[int, ...]]:
-    """Partitions of n into at most `parts` parts, each >= lo, descending."""
+def _partitions_at_most(n: int, parts: int) -> list[tuple[int, ...]]:
+    """Partitions of n into at most `parts` positive parts, descending."""
     if n == 0:
         return [()]
     if parts == 0:
         return []
-    out = []
-    for first in range(n, lo - 1, -1):
-        for rest in _partitions_at_most(n - first, parts - 1, lo):
-            if not rest or rest[0] <= first:
-                out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(n, 0, -1)
+            for rest in _partitions_at_most(n - first, parts - 1)
+            if not rest or rest[0] <= first]
 
 
 def filter_min_three_components(case: GradingCase) -> FilterVerdict | None:

@@ -1,7 +1,7 @@
 import pytest
 
 from oddmtc import cli, goldens
-from oddmtc.dimsearch import SearchParams, enumerate_solutions
+from oddmtc.dimsearch import SearchParams, _Engine, enumerate_solutions
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +20,65 @@ def classify_reports():
 def rank25_solutions():
     """The rank-25, 3-invertible search behind table T1, run once per session."""
     return enumerate_solutions(SearchParams(rank=25, invertibles=3))
+
+
+class EngineProbe:
+    """Exact counts of `_Engine`'s closing steps and child scan, over every
+    search run while the `engine_probe` fixture is active:
+
+    * final_node: {levels: (states, rows emitted)};
+    * final_chain, final_pick: (calls, rows emitted);
+    * children: (calls, children yielded).
+
+    If `on_close` is set, every close also calls
+    on_close(method, eng, args, rows) with the method's name and arguments
+    and the rows that call emitted."""
+
+    def __init__(self):
+        self.on_close = None
+        self.reset()
+
+    def reset(self):
+        """Zero every count."""
+        self.final_node = {}
+        self.final_chain = self.final_pick = self.children = (0, 0)
+
+    def closed(self, method, eng, args, rows):
+        if self.on_close is not None:
+            self.on_close(method, eng, args, rows)
+        if method == "final_node":
+            _, states, levels = args
+            n, emitted = self.final_node.get(levels, (0, 0))
+            self.final_node[levels] = (n + len(states), emitted + len(rows))
+        else:
+            n, emitted = getattr(self, method)
+            setattr(self, method, (n + 1, emitted + len(rows)))
+
+
+@pytest.fixture
+def engine_probe(monkeypatch):
+    """An EngineProbe on `_Engine`; every wrapper calls the real method."""
+    probe = EngineProbe()
+    real_children = _Engine.children
+
+    def closing(method):
+        real = getattr(_Engine, method)
+
+        def close(eng, *args):
+            start = len(eng.out)
+            real(eng, *args)
+            probe.closed(method, eng, args, eng.out[start:])
+        return close
+
+    def children(eng, *args):
+        # a list, so final_node's states are materialized once, here
+        kids = list(real_children(eng, *args))
+        calls, yielded = probe.children
+        probe.children = (calls + 1, yielded + len(kids))
+        return kids
+
+    monkeypatch.setattr(_Engine, "final_node", closing("final_node"))
+    monkeypatch.setattr(_Engine, "final_chain", closing("final_chain"))
+    monkeypatch.setattr(_Engine, "final_pick", closing("final_pick"))
+    monkeypatch.setattr(_Engine, "children", children)
+    return probe

@@ -281,7 +281,7 @@ class TestFinalNode:
     }
 
     @pytest.mark.parametrize("table", COUNTS)
-    def test_matches_unbounded_scan(self, table, golden_tables, monkeypatch):
+    def test_matches_unbounded_scan(self, table, golden_tables, engine_probe):
         expected = self.COUNTS[table]
         table, _, option = table.partition("-")
         p = RANK27 if table == "rank27" else golden_tables[table].params
@@ -290,98 +290,48 @@ class TestFinalNode:
         elif option == "bound":
             rows = enumerate_solutions(p)
             p = replace(p, fpdim_bound=rows[len(rows) // 2].fpdim)
-        bounded = _Engine.final_node
-        counts = {}
 
-        def checked(eng, prefix, states, levels):
-            states = list(states)
-            start = len(eng.out)
-            bounded(eng, prefix, states, levels)
-            got = canonical(eng.out[start:])
-            want = canonical(sol for u, Q, l in states for sol in
-                             _final_node_reference(eng, Q, l, u, prefix + (u,), levels))
-            assert got == want, (prefix, states, levels)
-            calls, rows = counts.get(levels, (0, 0))
-            counts[levels] = (calls + len(states), rows + len(got))
+        def check(method, eng, args, rows):
+            if method == "final_node":
+                prefix, states, levels = args
+                want = canonical(sol for u, Q, l in states for sol in
+                                 _final_node_reference(eng, Q, l, u, prefix + (u,), levels))
+                assert canonical(rows) == want, args
 
-        monkeypatch.setattr(_Engine, "final_node", checked)
+        engine_probe.reset()
+        engine_probe.on_close = check
         enumerate_solutions(p)
-        assert counts == expected
+        assert engine_probe.final_node == expected
 
-    def test_t8_counts(self, golden_tables, monkeypatch):
+    def test_t8_counts(self, golden_tables, engine_probe):
         """T8 (k = 12, min_run = 5): the forced tail closes in final_node at
         levels = 5, which emits the row the last level does not; no state
         reaches final_chain, and a tail state then grows its run to 5 in one
         step."""
-        counts = {"children": 0, "final_chain": 0}
-        node, children = _Engine.final_node, _Engine.children
-
-        def counted_node(eng, prefix, states, levels):
-            states = list(states)
-            start = len(eng.out)
-            node(eng, prefix, states, levels)
-            calls, rows = counts.get(levels, (0, 0))
-            counts[levels] = (calls + len(states), rows + len(eng.out) - start)
-
-        def counted_children(eng, *args):
-            for child in children(eng, *args):
-                counts["children"] += 1
-                yield child
-
-        def counted_chain(eng, *args):
-            counts["final_chain"] += 1
-
-        monkeypatch.setattr(_Engine, "final_node", counted_node)
-        monkeypatch.setattr(_Engine, "children", counted_children)
-        monkeypatch.setattr(_Engine, "final_chain", counted_chain)
         assert len(enumerate_solutions(golden_tables["T8"].params)) == 21
-        assert counts == {1: (293851, 20), 5: (90884, 1), "children": 375933,
-                          "final_chain": 0}
+        assert engine_probe.final_node == {1: (293851, 20), 5: (90884, 1)}
+        assert (engine_probe.children[1], engine_probe.final_chain[0]) == (375933, 0)
 
-    def test_bounded_counts(self, monkeypatch):
+    def test_bounded_counts(self, engine_probe):
         """Rank 33, s = 3 and rank 41, s = 5 with min_run = 5, at bound 10^6:
         the state cut, the lcm cap and the Dmax < 3l dispatch to final_pick
         set these counts, and on rank 41 the min-run rule too, so a change
-        to a bounded prune or to that rule shows here.  final_node states
-        are counted by levels; the children of a rem = 2 state reach it in
-        one batch, past the state cut and the dispatch to final_pick."""
-        counts = {}
-        node, children, pick = _Engine.final_node, _Engine.children, _Engine.final_pick
-
-        def count(key):
-            counts[key] = counts.get(key, 0) + 1
-
-        def counted_node(eng, prefix, states, levels):
-            states = list(states)
-            for _ in states:
-                count(f"final_node {levels}")
-            node(eng, prefix, states, levels)
-
-        def counted_children(eng, *args):
-            count("children calls")
-            for child in children(eng, *args):
-                count("children")
-                yield child
-
-        def counted_pick(eng, *args):
-            count("final_pick")
-            pick(eng, *args)
-
-        monkeypatch.setattr(_Engine, "final_node", counted_node)
-        monkeypatch.setattr(_Engine, "children", counted_children)
-        monkeypatch.setattr(_Engine, "final_pick", counted_pick)
+        to a bounded prune or to that rule shows here.  children is
+        (calls, children), and final_node states are counted by levels; the
+        children of a rem = 2 state reach it in one batch, past the state
+        cut and the dispatch to final_pick."""
         cases = [
             (SearchParams(rank=33, invertibles=3, fpdim_bound=10**6), 333,
-             {"children calls": 1642, "children": 2904, "final_node 1": 408,
-              "final_pick": 788}),
+             (1642, 2904), {1: 408}, 788),
             (SearchParams(rank=41, invertibles=5, min_run=5, fpdim_bound=10**6), 6,
-             {"children calls": 5175, "children": 9230, "final_node 1": 1328,
-              "final_node 5": 727, "final_pick": 2102}),
+             (5175, 9230), {1: 1328, 5: 727}, 2102),
         ]
-        for params, size, expected in cases:
-            counts.clear()
+        for params, size, children, final_node, final_pick in cases:
+            engine_probe.reset()
             assert len(enumerate_solutions(params)) == size
-            assert counts == expected, params
+            states = {levels: n for levels, (n, _) in engine_probe.final_node.items()}
+            assert (engine_probe.children, states, engine_probe.final_pick[0]) == (
+                children, final_node, final_pick), params
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            u=st.integers(0, 12).map(lambda x: 2 * x + 1),
@@ -486,26 +436,21 @@ class TestFinalPick:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_reference(self, case, monkeypatch):
+    def test_matches_reference(self, case, engine_probe):
         """Every final_pick call of a bounded search emits exactly the rows of
         `_final_pick_reference`, and the pick makes these (calls, rows)."""
         params, calls, rows = self.CASES[case]
-        counts = {"calls": 0, "rows": 0}
-        pick = _Engine.final_pick
 
-        def checked(eng, Q, l, u, path, rem):
-            assert eng.Dmax < 3 * l
-            start = len(eng.out)
-            pick(eng, Q, l, u, path, rem)
-            got = canonical(eng.out[start:])
-            want = canonical(_final_pick_reference(eng, Q, l, u, path, rem))
-            assert got == want, (Q, l, u, path, rem)
-            counts["calls"] += 1
-            counts["rows"] += len(got)
+        def check(method, eng, args, emitted):
+            if method == "final_pick":
+                Q, l, u, path, rem = args
+                assert eng.Dmax < 3 * l
+                want = canonical(_final_pick_reference(eng, Q, l, u, path, rem))
+                assert canonical(emitted) == want, args
 
-        monkeypatch.setattr(_Engine, "final_pick", checked)
+        engine_probe.on_close = check
         enumerate_solutions(params)
-        assert counts == {"calls": calls, "rows": rows}
+        assert engine_probe.final_pick == (calls, rows)
 
     @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
            exps=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
@@ -559,7 +504,7 @@ class TestState:
     @pytest.mark.parametrize("case", [
         "T4", "T4-min_run3", "rank33-bound", "rank41-min_run5-bound",
         "adjoint21-min_run2", "adjoint15"])
-    def test_closed_states_carry_lcm(self, case, golden_tables, monkeypatch):
+    def test_closed_states_carry_lcm(self, case, golden_tables, engine_probe):
         """Every state that reaches final_node, final_chain or final_pick has
         l = lcm(path) and Q/l^2 = w - 2g*sum 1/u_i^2.  final_chain takes
         e = D/l to be whole, and final_pick takes D = l from Dmax < 3l, so
@@ -578,33 +523,24 @@ class TestState:
                                       adjoint_rank=5, adjoint_invertibles=3),
         }[case]
         g = params.group_order
-        calls = []
-        node, chain, pick = _Engine.final_node, _Engine.final_chain, _Engine.final_pick
 
-        def check(eng, Q, l, path):
-            calls.append(path)
-            assert l == math.lcm(*path), path
-            assert Fraction(Q, l * l) == eng.w - 2 * g * sum(Fraction(1, u * u) for u in path)
+        def check(method, eng, args, rows):
+            if method == "final_node":
+                prefix, states, _ = args
+                closed = [(Q, l, prefix + (u,)) for u, Q, l in states]
+            elif method == "final_chain":
+                closed = [args]
+            else:
+                Q, l, _, path, _ = args
+                closed = [(Q, l, path)]
+            for Q, l, path in closed:
+                assert l == math.lcm(*path), path
+                assert Fraction(Q, l * l) == eng.w - 2 * g * sum(Fraction(1, u * u) for u in path)
 
-        def checked_node(eng, prefix, states, levels):
-            states = list(states)
-            for u, Q, l in states:
-                check(eng, Q, l, prefix + (u,))
-            node(eng, prefix, states, levels)
-
-        def checked_chain(eng, Q, l, path):
-            check(eng, Q, l, path)
-            chain(eng, Q, l, path)
-
-        def checked_pick(eng, Q, l, u, path, rem):
-            check(eng, Q, l, path)
-            pick(eng, Q, l, u, path, rem)
-
-        monkeypatch.setattr(_Engine, "final_node", checked_node)
-        monkeypatch.setattr(_Engine, "final_chain", checked_chain)
-        monkeypatch.setattr(_Engine, "final_pick", checked_pick)
+        engine_probe.on_close = check
         assert enumerate_solutions(params)
-        assert calls
+        states = sum(n for n, _ in engine_probe.final_node.values())
+        assert states + engine_probe.final_chain[0] + engine_probe.final_pick[0]
 
 
 class TestMinRunPredicate:
@@ -710,9 +646,8 @@ class TestValidateSolution:
     def test_tampered_rows_rejected(self, golden_tables):
         """One tampered row per check, each failing there first.  A dim of 1
         keeps d^2 = 1 (mod 8), so it passes every row check; an even dim
-        fails the mod-8 check first.  The quotient checks ("quotient odd",
-        "quotients nondecreasing") follow from the fpdim, order and
-        exactness checks, so no row reaches them."""
+        fails the mod-8 check first.  Odd, nondecreasing quotients follow
+        from the fpdim, order and exactness checks, so none is checked."""
         t1 = golden_tables["T1"]
         row = t1.rows[1]
         assert len(set(row.dims)) > 1

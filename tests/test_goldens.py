@@ -82,6 +82,9 @@ class TestLoadGoldens:
         # 5^2 does not divide 387 = 3^2 * 43
         (b"387,3,3,", b"387,3,5,", "387 not divisible by 5\\^2"),
         (b"387,3,3,3,3,3,3,3,3\r\n", b"", "expected 3 rows, found 2"),
+        # every dim still divides 387, but the row breaks the layer equation
+        (b"387,3,3,3,3,3,3,3,3\r\n", b"387,3,3,3,3,3,3,3,1\r\n",
+         "T2: row 387 \\(3, 3, 3, 3, 3, 3, 1\\) fails fpdim equation"),
     ])
     def test_tampered_csv_rejected(self, old, new, match):
         """A CSV whose checksum is updated with it still fails the row checks."""

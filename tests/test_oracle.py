@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (SearchParams, _Engine, canonical, diff_rows,
-                               enumerate_solutions, validate_solution)
+from oddmtc.dimsearch import (SearchParams, canonical, diff_rows, enumerate_solutions,
+                               validate_solution)
 from oddmtc.exactmath import squarefree_split
 from oddmtc.filters import fixed_dim_multiplicity_filter
 
@@ -67,15 +67,10 @@ class TestOracleEnumerate:
                 total += len(check_equivalence(params))
         assert total == 60
 
-    def test_matches_search_final_chain(self, monkeypatch):
+    def test_matches_search_final_chain(self, engine_probe):
         """Adjoint searches with k = 1 and no min_run, and with k = L, where
         the run extension completes the root: final_chain closes every
-        chain, and final_node never runs."""
-        def no_final_node(eng, prefix, states, levels):
-            if list(states):
-                raise AssertionError("final_node reached")
-
-        monkeypatch.setattr(_Engine, "final_node", no_final_node)
+        chain, and final_node sees no state."""
         total = 0
         for gc in (3, 5, 9, 15):
             for ai in (3, 9, 15, 25):
@@ -86,6 +81,7 @@ class TestOracleEnumerate:
                                           min_run=run, fpdim_bound=10**5)
                     total += len(check_equivalence(params))
         assert total == 100
+        assert not any(states for states, _ in engine_probe.final_node.values())
 
     @pytest.mark.parametrize("rank, s, size", [(25, 3, 21), (33, 5, 211)])
     def test_matches_search_bound_4e6(self, rank, s, size):
