@@ -28,7 +28,8 @@ passes all its children) whose new u_k fills the last level, or all L of a
 min-run tail, by a scan of the odd u_k that the window of d_k allows;
 nothing is factored there.  With fpdim_bound set, the same search adds
 exact prunes, and `_Engine.final_pick` closes every state whose D must
-equal l by picking the remaining dims among the divisors of l (see
+equal l by picking the remaining dims among the divisors of l, and builds
+each row from them: there fpdim = w*l^2 and every dim is l/u_j (see
 `_Engine`).  The oracle checks the bounded search (`tests/test_oracle.py`,
 Criterion 9).  Past its bound, three steps rest on proof alone: tests plant
 completions through `children`' `top` and `first` at rem = 2 only
@@ -39,6 +40,7 @@ or the state cut and lcm cap; `TestFinalPick` plants the D = l close.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -123,7 +125,7 @@ class SearchParams:
         return 15 if self.perfect else 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimSolution:
     fpdim: int
     invertibles: int
@@ -160,11 +162,11 @@ class RowDiff:
 
 
 def diff_rows(want, got) -> RowDiff:
-    """The one row comparison: keyed by (fpdim, dims), ascending by key."""
-    want = {(r.fpdim, r.dims): r for r in want}
-    got = {(r.fpdim, r.dims): r for r in got}
-    return RowDiff(tuple(want[key] for key in sorted(want.keys() - got.keys())),
-                   tuple(got[key] for key in sorted(got.keys() - want.keys())))
+    """The one row comparison: on the rows themselves, each side ascending
+    by (fpdim, dims)."""
+    want, got = set(want), set(got)
+    order = attrgetter("fpdim", "dims")
+    return RowDiff(tuple(sorted(want - got, key=order)), tuple(sorted(got - want, key=order)))
 
 
 def validate_solution(sol: DimSolution, params: SearchParams) -> None:
@@ -184,6 +186,8 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     require(fpdim % 2 == 1, "fpdim odd")
     require(fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
     require(fpdim == params.group_order * (s + 2 * sum(d * d for d in dims)), "fpdim equation")
+    # `final_pick`'s rows meet the bound by construction; this checks them
+    require(params.fpdim_bound is None or fpdim <= params.fpdim_bound, "fpdim within bound")
     perfect = params.perfect
     prev = dims[0]
     for d in dims:
@@ -222,6 +226,14 @@ def _min_run_ok(dims: tuple[int, ...], length: int) -> bool:
     return max(Counter(dims).values()) >= length and p_batch_violation(dims, length) is None
 
 
+def _row_ok(dims: tuple[int, ...], params: SearchParams) -> bool:
+    """The row predicates that no step of the search holds by construction:
+    no perfect-layer dim is a prime power, and `_min_run_ok` with min_run."""
+    if params.perfect and any(is_prime_power(d) for d in dims):
+        return False
+    return params.min_run is None or _min_run_ok(dims, params.min_run)
+
+
 def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
     """Dim reconstruction and predicate checks for a full u-chain ending in d_k."""
     if dk < params.dmin or dk % 2 == 0:
@@ -237,12 +249,8 @@ def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
             return None
         dims.append(q)
     # every d_i = d_k * u_k / u_i >= d_k, so the d_k test above sets the floor
-    if params.perfect and any(is_prime_power(d) for d in dims):
-        return None
     dims = tuple(dims)
-    if params.min_run is not None and not _min_run_ok(dims, params.min_run):
-        return None
-    return DimSolution(fpdim, params.layer_invertibles, dims)
+    return DimSolution(fpdim, params.layer_invertibles, dims) if _row_ok(dims, params) else None
 
 
 class _Engine:
@@ -291,10 +299,10 @@ class _Engine:
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
     four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6; its searches take 0.56-0.64 s of CPU with
-    all four (Python 3.11, 2 cores, each figure from 3 or more runs):
+    oracle sweep at bound 10^6; its searches take 0.38-0.39 s of CPU with
+    all four (Python 3.11, 2 cores, each figure from 3 runs):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 0.81-0.83 s without it.  A state that
+      state: the sweep's searches take 0.59-0.65 s without it.  A state that
       passes has `top` <= Dmax // dmin, and a child it would cut is cut when
       popped.  The children of a rem = 2 state are not popped: they close in
       `final_node`, exact for any state, past the cut and the D = l close
@@ -304,14 +312,17 @@ class _Engine:
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
-      The sweep's searches take 1.03-1.12 s without it.
+      `divisors` finds each l's divisors once per engine, and `final_pick`
+      builds its rows from them.  The sweep's searches take 0.84-0.86 s
+      without it.
     * the lcm cap, the only bounded filter in `children`, which now sees
       only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
-      skipped unless r <= Dmax // l.  Without it the sweep's searches take
-      24.6-25.9 s.
+      skipped unless r <= Dmax // l.  So every child has l' <= Dmax, which
+      the rows of `final_pick` rely on for fpdim = w*l^2 <= bound.  Without
+      it, and with `final_pick` returning at l > Dmax instead, the sweep's
+      searches take 0.80-0.83 s.
     * `_finish` drops fpdim > bound: that test defines the bound, and it is
-      the only bound test on the rows of `final_node`, `final_chain` and
-      `final_pick`.
+      the only bound test on the rows of `final_node` and `final_chain`.
     The floor `a` puts on d in `final_node` serves every search: without it,
     the searches of T1-T4, T6 and T7 take 1.45 s instead of 0.10 s, T8 2.2 s
     instead of 0.29 s, and T5 2.5 s instead of 0.17 s (Python 3.11, one core).
@@ -322,20 +333,21 @@ class _Engine:
         self.w = w
         self.s = params.layer_invertibles
         self.g = params.group_order
-        self.t = params.dmin ** 2
         self.k = params.k
         self.L = params.min_run or 1
         self.cop = params.mi_coprime or 0
         self.dmin = params.dmin
+        self.dmin2 = params.dmin ** 2
         bound = params.fpdim_bound
         self.Dmax = None if bound is None else math.isqrt(bound // w)
         self.out: list[DimSolution] = []
+        self.l_divisors: dict[int, tuple[list[int], list[int]]] = {}
 
     def final_node(self, prefix, states, levels: int) -> None:
         """Emit prefix + (u,) + (u_k,)*n for each state (u, Q, l) of `states`
         whose new u_k fills the last n = `levels` levels (see above)."""
-        s, g, dmin, w, cop, params = self.s, self.g, self.dmin, self.w, self.cop, self.params
-        dmin2, n2 = dmin * dmin, 2 * levels
+        s, g, dmin, dmin2, w, cop = self.s, self.g, self.dmin, self.dmin2, self.w, self.cop
+        params, n2 = self.params, 2 * levels
         # u_k > u when n > 1: the min-run rule grows the run of u itself
         skip = 0 if levels == 1 else 2
         for u, Q, l in states:
@@ -381,27 +393,50 @@ class _Engine:
             if sol is not None:
                 self.out.append(sol)
 
+    def divisors(self, l: int) -> tuple[list[int], list[int]]:
+        """The odd divisors v of l with l/v >= dmin and w*v^2 prime to
+        mi_coprime, ascending, and their dims l/v, memoized per l."""
+        got = self.l_divisors.get(l)
+        if got is None:
+            w, cop = self.w, self.cop
+            vs = [v for v in range(1, l // self.dmin + 1, 2)
+                  if l % v == 0 and not (cop and w * v * v % cop == 0)]
+            got = self.l_divisors[l] = (vs, [l // v for v in vs])
+        return got
+
     def final_pick(self, Q: int, l: int, u: int, path, rem: int) -> None:
         """Close a bounded state with D = l: every later d_j = l/u_j is an odd
         divisor of l in [dmin, l/u], and their squares sum to exactly
         H = (Q - g*s)/2g.  Every d_j is odd, so d_j^2 = 1 (mod 8) and
         H = rem (mod 8).  Picks each nonincreasing run of rem of them,
-        a divisor and its count at a time, largest divisor first."""
+        a divisor and its count at a time, largest divisor first.
+
+        Each row is built here, not by `_finish`: fpdim = w*l^2, as D = l;
+        l <= Dmax, so fpdim <= bound (a child's l' is at most Dmax by the
+        lcm cap, and a root with l = u_1 > Dmax has no divisor v >= u);
+        every u_j of the path divides l = lcm(path), and every picked d is
+        an odd divisor of l in [dmin, l/u].  `_row_ok` tests the rest."""
         g = self.g
         H, odd = divmod(Q - g * self.s, 2 * g)
-        if odd or (H - rem) % 8 or H < rem * self.dmin ** 2:
+        if odd or (H - rem) % 8 or H < rem * self.dmin2:
             return
-        divs = [l // v for v in range(u, l // self.dmin + 1, 2)
-                if l % v == 0 and not (self.cop and self.w * v * v % self.cop == 0)]
-        if not divs or not rem * divs[-1] ** 2 <= H <= rem * divs[0] ** 2:
+        vs, divs = self.divisors(l)
+        first = bisect_left(vs, u)
+        if first == len(divs) or not rem * divs[-1] ** 2 <= H <= rem * divs[first] ** 2:
             return
         low2 = divs[-1] ** 2
         last = len(divs) - 1
+        fpdim, s, params, out = self.w * l * l, self.s, self.params, self.out
+        prefix = None
 
-        def emit(dims):
-            sol = _finish(path + tuple(l // d for d in dims), dims[-1], self.w, self.params)
-            if sol is not None:
-                self.out.append(sol)
+        def emit(tail):
+            nonlocal prefix
+            if prefix is None:
+                # most closes emit no row, so the prefix dims wait for the first
+                prefix = tuple(l // v for v in path)
+            dims = prefix + tail
+            if _row_ok(dims, params):
+                out.append(DimSolution(fpdim, s, dims))
 
         def pick(i, need, budget, dims):
             # on entry need*divs[-1]^2 <= budget <= need*divs[i]^2
@@ -423,14 +458,14 @@ class _Engine:
                 else:
                     emit(dims + (d,) * take)
 
-        pick(0, rem, H, ())
+        pick(first, rem, H, ())
 
     def children(self, Q: int, l: int, u: int, rem: int):
         """Continuations (u', Q', l') of state (Q, l) at u with rem levels
         left: each odd u' >= u in ascending order with Q' > 0."""
         gl2 = self.g * l * l
-        # every level still to come needs Q*u'^2 <= (s/t + 2*rem)*g*l^2
-        top = math.isqrt((self.s + 2 * rem * self.t) * gl2 // (self.t * Q))
+        # every level still to come needs Q*u'^2 <= (s/dmin^2 + 2*rem)*g*l^2
+        top = math.isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
         # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
         first = max(u, math.isqrt(2 * gl2 // Q) - 2) | 1
         # D is a multiple of lcm(path, u') = l*r; unbounded, r <= u' <= top
@@ -452,7 +487,7 @@ class _Engine:
         Dmax = self.Dmax
         if Dmax is not None:
             D2 = Dmax * Dmax
-            dmin2 = self.dmin ** 2
+            dmin2 = self.dmin2
         stack = [(Q0, u1, (u1,), 1)]
         while stack:
             Q, l, path, run = stack.pop()
@@ -510,7 +545,7 @@ def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution
     else:
         chunks = [_search_branch((params, m1)) for m1 in m1s]
     out = [sol for chunk in chunks for sol in chunk]
-    require(len({(s.fpdim, s.dims) for s in out}) == len(out), "duplicate solutions")
+    require(len(set(out)) == len(out), "duplicate solutions")
     for sol in out:
         validate_solution(sol, params)
     return canonical(out)

@@ -1,16 +1,17 @@
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddmtc import oracle
+from oddmtc import dimsearch, oracle
 from oddmtc.dimsearch import (
     DimSolution,
     SearchParams,
@@ -595,6 +596,18 @@ class TestEnumerateSolutions:
     def test_jobs_equivalence(self):
         assert enumerate_solutions(RANK27, jobs=1) == enumerate_solutions(RANK27, jobs=2)
 
+    def test_duplicate_rows_rejected(self, monkeypatch):
+        """A branch that returns one of its rows twice fails the duplicate check."""
+        search_branch = dimsearch._search_branch
+
+        def twice(args):
+            rows = search_branch(args)
+            return rows + rows[:1]
+
+        monkeypatch.setattr(dimsearch, "_search_branch", twice)
+        with pytest.raises(InvariantError, match="duplicate solutions"):
+            enumerate_solutions(RANK27)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError):
@@ -626,6 +639,22 @@ class TestEnumerateSolutions:
         for bound in sorted({b for r in rows for b in (r.fpdim, r.fpdim - 1)}):
             capped = enumerate_solutions(replace(p, fpdim_bound=bound))
             assert capped == [r for r in rows if r.fpdim <= bound], bound
+
+
+class TestDimSolution:
+    def test_frozen_slotted_value(self, rank25_solutions):
+        """A row is a frozen value with no instance dict, equal and hashed
+        by value, and a pickle round-trip (how `--jobs` workers return rows)
+        gives an equal row."""
+        row = rank25_solutions[0]
+        with pytest.raises(FrozenInstanceError):
+            row.fpdim = 1
+        twin = DimSolution(row.fpdim, row.invertibles, tuple(list(row.dims)))
+        assert twin is not row and twin == row and hash(twin) == hash(row)
+        assert twin != replace(row, invertibles=5)
+        assert not hasattr(row, "__dict__")
+        back = pickle.loads(pickle.dumps(row))
+        assert back == row and hash(back) == hash(row)
 
 
 class TestDiffRows:
@@ -663,6 +692,7 @@ class TestValidateSolution:
             (replace(row, fpdim=row.fpdim + 8), t1.params, "fpdim equation"),
             (replace(row, dims=row.dims[:-1] + (row.dims[-1] + 2,)), t1.params,
              "fpdim equation"),
+            (row, replace(t1.params, fpdim_bound=row.fpdim - 1), "fpdim within bound"),
             (replace(row, dims=row.dims[::-1]), t1.params, "dims nonincreasing"),
             (layer((1,) * 11), t1.params, "dim odd and at least 3"),
             (layer((5,) + (3,) * 10), t1.params, "quotient times dim squared is fpdim"),
