@@ -28,8 +28,9 @@ passes all its children) whose new u_k fills the last level, or all L of a
 min-run tail, by a scan of the odd u_k that the window of d_k allows;
 nothing is factored there.  With fpdim_bound set, the same search adds
 exact prunes, and `_Engine.final_pick` closes every state whose D must
-equal l by picking the remaining dims among the divisors of l, and builds
-each row from them: there fpdim = w*l^2 and every dim is l/u_j (see
+equal l by picking the remaining dims among the divisors of l.  Every close
+builds its rows in one place, `_Engine.emit`, which sets fpdim = w*D^2 and
+d_i = D/u_i and keeps D <= isqrt(bound // w), exactly fpdim <= bound (see
 `_Engine`).  The oracle checks the bounded search (`tests/test_oracle.py`,
 Criterion 9).  Past its bound, three steps rest on proof alone: tests plant
 completions through `children`' `top` and `first` at rem = 2 only
@@ -39,7 +40,6 @@ or the state cut and lcm cap; `TestFinalPick` plants the D = l close.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -186,7 +186,7 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     require(fpdim % 2 == 1, "fpdim odd")
     require(fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
     require(fpdim == params.group_order * (s + 2 * sum(d * d for d in dims)), "fpdim equation")
-    # `final_pick`'s rows meet the bound by construction; this checks them
+    # the search's rows meet the bound through `_Engine.emit`; this checks them
     require(params.fpdim_bound is None or fpdim <= params.fpdim_bound, "fpdim within bound")
     perfect = params.perfect
     prev = dims[0]
@@ -226,33 +226,6 @@ def _min_run_ok(dims: tuple[int, ...], length: int) -> bool:
     return max(Counter(dims).values()) >= length and p_batch_violation(dims, length) is None
 
 
-def _row_ok(dims: tuple[int, ...], params: SearchParams) -> bool:
-    """The row predicates that no step of the search holds by construction:
-    no perfect-layer dim is a prime power, and `_min_run_ok` with min_run."""
-    if params.perfect and any(is_prime_power(d) for d in dims):
-        return False
-    return params.min_run is None or _min_run_ok(dims, params.min_run)
-
-
-def _finish(us, dk: int, w: int, params: SearchParams) -> DimSolution | None:
-    """Dim reconstruction and predicate checks for a full u-chain ending in d_k."""
-    if dk < params.dmin or dk % 2 == 0:
-        return None
-    uk = us[-1]
-    fpdim = w * uk * uk * dk * dk
-    if params.fpdim_bound is not None and fpdim > params.fpdim_bound:
-        return None
-    dims = []
-    for u in us:
-        q, r = divmod(dk * uk, u)
-        if r:
-            return None
-        dims.append(q)
-    # every d_i = d_k * u_k / u_i >= d_k, so the d_k test above sets the floor
-    dims = tuple(dims)
-    return DimSolution(fpdim, params.layer_invertibles, dims) if _row_ok(dims, params) else None
-
-
 class _Engine:
     """Depth-first search over the u-chains of one m1 branch.
 
@@ -262,7 +235,9 @@ class _Engine:
     with the u-chain so far.  With e = D/l, a whole number,
     Q*e^2 = g*(s + 2*sum_{j>i} d_j^2), so a live state has Q > 0.  The root
     is Q = m1 - 2g, l = u_1; a child u' with h = gcd(l, u') and r = u'/h
-    has l' = l*r and Q' = Q*r^2 - 2g*(l/h)^2.
+    has l' = l*r and Q' = Q*r^2 - 2g*(l/h)^2.  Every close passes its rows
+    to `emit`, the one row builder: `final_node` with D = d*u_k,
+    `final_chain` with D = e*l and `final_pick` with D = l.
 
     `final_node` closes a batch of states (u, Q, l) whose new value u_k
     fills the last n = `levels` levels (1 at rem = 1, L in a min-run tail,
@@ -293,13 +268,13 @@ class _Engine:
     takes 2g*(l/u)^2 from Q), and the state is dropped when the
     need = L - run levels exceed rem or leave Q <= 0.  `final_chain` closes
     the full-length chains, where Q*e^2 = g*s: every k = 1 search (L = 1)
-    and the chain a run extension completes at the root (k = L).  `_finish`
+    and the chain a run extension completes at the root (k = L).  `emit`
     applies the p-batch rule of `_min_run_ok` to every row.
 
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
     four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6; its searches take 0.38-0.39 s of CPU with
+    oracle sweep at bound 10^6; its searches take 0.37-0.42 s of CPU with
     all four (Python 3.11, 2 cores, each figure from 3 runs):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
       state: the sweep's searches take 0.59-0.65 s without it.  A state that
@@ -313,16 +288,16 @@ class _Engine:
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
       `divisors` finds each l's divisors once per engine, and `final_pick`
-      builds its rows from them.  The sweep's searches take 0.84-0.86 s
+      picks its rows' dims from them.  The sweep's searches take 0.84-0.86 s
       without it.
     * the lcm cap, the only bounded filter in `children`, which now sees
       only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
-      skipped unless r <= Dmax // l.  So every child has l' <= Dmax, which
-      the rows of `final_pick` rely on for fpdim = w*l^2 <= bound.  Without
-      it, and with `final_pick` returning at l > Dmax instead, the sweep's
-      searches take 0.80-0.83 s.
-    * `_finish` drops fpdim > bound: that test defines the bound, and it is
-      the only bound test on the rows of `final_node` and `final_chain`.
+      skipped unless r <= Dmax // l.  It is a pure prune: every row below
+      such a child has D >= l' > Dmax.  Without it the sweep's searches take
+      5.2-5.6 s: `final_pick` closes 712,332 states, those with l > Dmax
+      among them, and picks through their divisors for rows `emit` drops.
+    * `emit` drops D > Dmax, which is exactly fpdim > bound: that test
+      defines the bound, and it is the only bound test on any row.
     The floor `a` puts on d in `final_node` serves every search: without it,
     the searches of T1-T4, T6 and T7 take 1.45 s instead of 0.10 s, T8 2.2 s
     instead of 0.29 s, and T5 2.5 s instead of 0.17 s (Python 3.11, one core).
@@ -339,15 +314,16 @@ class _Engine:
         self.dmin = params.dmin
         self.dmin2 = params.dmin ** 2
         bound = params.fpdim_bound
-        self.Dmax = None if bound is None else math.isqrt(bound // w)
+        self.Dmax = None if bound is None else isqrt(bound // w)
         self.out: list[DimSolution] = []
         self.l_divisors: dict[int, tuple[list[int], list[int]]] = {}
+        self.fpdims: dict[int, int] = {}
 
     def final_node(self, prefix, states, levels: int) -> None:
         """Emit prefix + (u,) + (u_k,)*n for each state (u, Q, l) of `states`
         whose new u_k fills the last n = `levels` levels (see above)."""
         s, g, dmin, dmin2, w, cop = self.s, self.g, self.dmin, self.dmin2, self.w, self.cop
-        params, n2 = self.params, 2 * levels
+        n2 = 2 * levels
         # u_k > u when n > 1: the min-run rule grows the run of u itself
         skip = 0 if levels == 1 else 2
         for u, Q, l in states:
@@ -376,12 +352,10 @@ class _Engine:
                     continue
                 d, square = isqrt_exact(T // X)
                 if square:
-                    sol = _finish(prefix + (u,) + (up,) * levels, d, w, params)
-                    if sol is not None:
-                        self.out.append(sol)
+                    self.emit(d * up, prefix + (u,) + (up,) * levels)
 
     def final_chain(self, Q: int, l: int, path) -> None:
-        """Full-length chain: test e^2 = g*s/Q directly, then d_k = e*l/u_k.
+        """Full-length chain: test e^2 = g*s/Q directly, then D = e*l.
         Every k = 1 search gets here, and the chain a run extension
         completes at the root (k = L)."""
         num = self.g * self.s
@@ -389,9 +363,31 @@ class _Engine:
             return
         e, square = isqrt_exact(num // Q)
         if square:
-            sol = _finish(path, e * l // path[-1], self.w, self.params)
-            if sol is not None:
-                self.out.append(sol)
+            self.emit(e * l, path)
+
+    def emit(self, D: int, path, tail=()) -> None:
+        """The one row builder: dims D/u_j over the u-chain `path`, then the
+        closing dims `tail`, with fpdim = w*D^2.  The row is dropped unless
+        every D/u_j is whole, the last (least) dim is at least dmin,
+        D <= Dmax (exactly fpdim <= bound, as Dmax = isqrt(bound // w)), no
+        dim of a perfect layer is a prime power, and `_min_run_ok` holds
+        with min_run.  Every dim is odd: u, l, d and e are."""
+        if self.Dmax is not None and D > self.Dmax:
+            return
+        dims = []
+        for u in path:
+            q, r = divmod(D, u)
+            if r:
+                return
+            dims.append(q)
+        dims = tuple(dims) + tail
+        if (dims[-1] < self.dmin
+                or self.params.perfect and any(is_prime_power(d) for d in dims)
+                or self.L > 1 and not _min_run_ok(dims, self.L)):
+            return
+        # the rows of one D share one fpdim int object, which saves memory
+        fpdim = self.fpdims.setdefault(D, self.w * D * D)
+        self.out.append(DimSolution(fpdim, self.s, dims))
 
     def divisors(self, l: int) -> tuple[list[int], list[int]]:
         """The odd divisors v of l with l/v >= dmin and w*v^2 prime to
@@ -409,13 +405,8 @@ class _Engine:
         divisor of l in [dmin, l/u], and their squares sum to exactly
         H = (Q - g*s)/2g.  Every d_j is odd, so d_j^2 = 1 (mod 8) and
         H = rem (mod 8).  Picks each nonincreasing run of rem of them,
-        a divisor and its count at a time, largest divisor first.
-
-        Each row is built here, not by `_finish`: fpdim = w*l^2, as D = l;
-        l <= Dmax, so fpdim <= bound (a child's l' is at most Dmax by the
-        lcm cap, and a root with l = u_1 > Dmax has no divisor v >= u);
-        every u_j of the path divides l = lcm(path), and every picked d is
-        an odd divisor of l in [dmin, l/u].  `_row_ok` tests the rest."""
+        a divisor and its count at a time, largest divisor first, and passes
+        `emit` each whole row: the path's dims l/u_j, then the picked ones."""
         g = self.g
         H, odd = divmod(Q - g * self.s, 2 * g)
         if odd or (H - rem) % 8 or H < rem * self.dmin2:
@@ -426,24 +417,14 @@ class _Engine:
             return
         low2 = divs[-1] ** 2
         last = len(divs) - 1
-        fpdim, s, params, out = self.w * l * l, self.s, self.params, self.out
-        prefix = None
-
-        def emit(tail):
-            nonlocal prefix
-            if prefix is None:
-                # most closes emit no row, so the prefix dims wait for the first
-                prefix = tuple(l // v for v in path)
-            dims = prefix + tail
-            if _row_ok(dims, params):
-                out.append(DimSolution(fpdim, s, dims))
+        tails = []
 
         def pick(i, need, budget, dims):
             # on entry need*divs[-1]^2 <= budget <= need*divs[i]^2
             d = divs[i]
             if i == last:
                 # budget == need*d^2: the last divisor fills every level
-                emit(dims + (d,) * need)
+                tails.append(dims + (d,) * need)
                 return
             d2 = d * d
             next2 = divs[i + 1] ** 2
@@ -456,18 +437,23 @@ class _Engine:
                 if n:
                     pick(i + 1, n, b, dims + (d,) * take)
                 else:
-                    emit(dims + (d,) * take)
+                    tails.append(dims + (d,) * take)
 
         pick(first, rem, H, ())
+        if tails:
+            # most closes pick nothing; the rows of one close share its path's dims
+            prefix = tuple(l // v for v in path)
+            for tail in tails:
+                self.emit(l, (), prefix + tail)
 
     def children(self, Q: int, l: int, u: int, rem: int):
         """Continuations (u', Q', l') of state (Q, l) at u with rem levels
         left: each odd u' >= u in ascending order with Q' > 0."""
         gl2 = self.g * l * l
         # every level still to come needs Q*u'^2 <= (s/dmin^2 + 2*rem)*g*l^2
-        top = math.isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
+        top = isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
         # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
-        first = max(u, math.isqrt(2 * gl2 // Q) - 2) | 1
+        first = max(u, isqrt(2 * gl2 // Q) - 2) | 1
         # D is a multiple of lcm(path, u') = l*r; unbounded, r <= u' <= top
         cap = top if self.Dmax is None else self.Dmax // l
         for up in range(first, top + 1, 2):

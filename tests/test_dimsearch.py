@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,6 @@ from oddmtc.dimsearch import (
     DimSolution,
     SearchParams,
     _Engine,
-    _finish,
     _min_run_ok,
     canonical,
     diff_rows,
@@ -64,6 +64,25 @@ def next_level(
     return out
 
 
+def _chain_row(params: SearchParams, w: int, chain, D: int) -> DimSolution | None:
+    """The row of the u-chain `chain` with D = d_i*u_i, from the definitions:
+    d_i = D/u_i and fpdim = w*D^2.  None unless every d_i is a whole odd
+    number of at least dmin, fpdim is within the bound, no dim of a perfect
+    layer is a prime power, and with min_run = L some dim occurs L times
+    and every dim L does not divide occurs a multiple of L times."""
+    if any(D % u for u in chain):
+        return None
+    dims = tuple(D // u for u in chain)
+    counts, L = Counter(dims), params.min_run
+    if (any(d < params.dmin or d % 2 == 0 for d in dims)
+            or params.fpdim_bound is not None and w * D * D > params.fpdim_bound
+            or params.perfect and any(len(factorize(d).factors) == 1 for d in dims)
+            or L and (max(counts.values()) < L
+                      or any(v % L and c % L for v, c in counts.items()))):
+        return None
+    return DimSolution(w * D * D, params.layer_invertibles, dims)
+
+
 def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
                           levels: int) -> list[DimSolution]:
     """Completions whose new value u_k fills the last `levels` levels (u_k > u
@@ -86,7 +105,7 @@ def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
         if (not square or up < u or (levels > 1 and up == u) or up % 2 == 0
                 or (eng.cop and eng.w * up * up % eng.cop == 0)):
             continue
-        sol = _finish(path + (up,) * levels, d, eng.w, eng.params)
+        sol = _chain_row(eng.params, eng.w, path + (up,) * levels, d * up)
         if sol is not None:
             out.append(sol)
     return out
@@ -96,7 +115,7 @@ def _final_pick_reference(eng: _Engine, Q: int, l: int, u: int, path,
                           rem: int) -> list[DimSolution]:
     """Completions of a state with D = l from the defining equation: every
     multiset of rem odd d | l in [dmin, l/u] (u' = l/d, with w*u'^2 prime to
-    mi_coprime) with g*(s + 2*sum d^2) == Q, through `_finish`.  A memoized
+    mi_coprime) with g*(s + 2*sum d^2) == Q, through `_chain_row`.  A memoized
     split on the largest d, which needs d^2 <= budget <= need*d^2; the last d
     solves d^2 = budget."""
     g, s = eng.params.group_order, eng.s
@@ -116,7 +135,7 @@ def _final_pick_reference(eng: _Engine, Q: int, l: int, u: int, path,
     out = []
     for dims in [] if odd or H < 0 else multisets(0, rem, H):
         assert g * (s + 2 * sum(d * d for d in dims)) == Q
-        sol = _finish(path + tuple(l // d for d in dims), dims[-1], eng.w, eng.params)
+        sol = _chain_row(eng.params, eng.w, path + tuple(l // d for d in dims), l)
         if sol is not None:
             out.append(sol)
     return out
@@ -268,13 +287,16 @@ class TestNextLevel:
 
 class TestFinalNode:
     # final_node scans u_k; the reference scans the square divisors of
-    # target, factored whole, and filters in _finish.  "-bound" caps fpdim
-    # at the median row's, and _finish drops the rows above it; a popped
-    # state with Dmax < 3l closes in final_pick instead (rank27-bound's one
-    # row).  The counts are {levels: (states, rows emitted)}, over every
-    # batch; levels = L is the min-run tail.
+    # target, factored whole, and keeps the rows `_chain_row` builds from
+    # the definitions.  "-bound" caps fpdim at the median row's, and `emit`
+    # drops the rows above it; a popped state with Dmax < 3l closes in
+    # final_pick instead (rank27-bound's one row).  The counts are
+    # {levels: (states, rows emitted)}, over every batch; levels = L is the
+    # min-run tail.  T1, T5 and T8 stay out: the reference takes 6-18 s of
+    # CPU on each.
     COUNTS = {
-        "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T4": {1: (39, 13)}, "T6": {1: (5, 2)},
+        "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T3": {1: (20681, 15)}, "T4": {1: (39, 13)},
+        "T6": {1: (5, 2)},
         "T7": {1: (4266, 11)}, "T7-min_run2": {1: (4266, 2)}, "T7-min_run3": {1: (4266, 1)},
         "T7-min_run4": {1: (4266, 2)}, "T7-min_run5": {1: (4262, 11), 5: (4, 0)},
         "T4-min_run3": {1: (8, 6), 3: (14, 3)},
@@ -388,7 +410,7 @@ class TestFinalNode:
         exact for any pair with that ratio, so l need not be lcm(path)).
         The batch final_node(path, children(Q, l, u, 2), 1) emits exactly
         the reference rows of its children, the planted one among them when
-        it passes mi_coprime and `_finish`."""
+        it passes mi_coprime and `_chain_row`."""
         s, g = params.layer_invertibles, params.group_order
         path = tuple(sorted(x for x in lead if x <= u)) + (u,)
         u1 = u + 2 * steps[0]
@@ -407,7 +429,7 @@ class TestFinalNode:
         want = [sol for up, Qn, ln in eng.children(Q, l, u, 2)
                 for sol in _final_node_reference(eng, Qn, ln, up, path + (up,), 1)]
         assert got == canonical(want)
-        row = _finish(path + (u1, u2), d2, w, params)
+        row = _chain_row(params, w, path + (u1, u2), D)
         if row is not None and not (cop and any(w * v * v % cop == 0 for v in (u1, u2))):
             assert row in got
 
@@ -461,17 +483,19 @@ class TestFinalPick:
                           min_size=1, max_size=2),
            min_run=st.sampled_from([None, 2, 3, 4, 5]),
            cop=st.sampled_from([None, 3, 5, 9, 15]), over=st.integers(0, 10**6),
-           shift=st.integers(0, 2))
+           shift=st.integers(0, 2), below=st.booleans())
     @settings(max_examples=600, deadline=None)
     def test_planted_completions(self, params, w, exps, lead, picks, min_run, cop, over,
-                                 shift):
+                                 shift, below):
         """A state with D = l planted from a chosen completion: l is a product
         of powers of 3, 5, 7, 11, the path holds divisors of l (final_pick
         reads l only as D, so l need not be lcm(path)), the completion takes
         each of a few divisors u' >= u a few times, and
         Q = g*(s + 2*sum (l/u')^2).  With l <= Dmax < 3l, final_pick emits
         exactly the reference rows, the planted one among them when it
-        passes mi_coprime and `_finish`.  Q + 2*shift with shift = 1 or 2
+        passes mi_coprime and `_chain_row`.  With Dmax < l (below), a state
+        the search never closes there, fpdim = w*l^2 exceeds the bound and
+        final_pick emits no row.  Q + 2*shift with shift = 1 or 2
         has no completion, and `final_pick` returns at its root: with g > 2,
         2g does not divide Q - g*s; with g = 1, H = (Q - g*s)/2g grows by
         shift, while a sum of rem odd squares is rem (mod 8)."""
@@ -486,16 +510,16 @@ class TestFinalPick:
         planted = sorted(later[i % len(later)] for i, n in picks for _ in range(n * rep))
         dims = tuple(l // v for v in planted)
         Q = g * (s + 2 * sum(d * d for d in dims))
-        Dmax = l + over % (2 * l)
+        Dmax = max(1, over % l) if below else l + over % (2 * l)
         params = replace(params, min_run=min_run, mi_coprime=cop, fpdim_bound=w * Dmax * Dmax)
         eng = _Engine(params, w)
-        assert l <= eng.Dmax == Dmax < 3 * l
+        assert eng.Dmax == Dmax < 3 * l
         Q += 2 * shift
         eng.final_pick(Q, l, u, path, len(dims))
         got = canonical(eng.out)
         assert got == canonical(_final_pick_reference(eng, Q, l, u, path, len(dims)))
-        assert not (shift and got)
-        row = _finish(path + tuple(planted), dims[-1], w, params)
+        assert not ((shift or Dmax < l) and got)
+        row = _chain_row(params, w, path + tuple(planted), l)
         if (row is not None and not shift
                 and not (cop and any(w * v * v % cop == 0 for v in planted))):
             assert row in got

@@ -58,7 +58,7 @@ class TestOracleEnumerate:
         assert len(check_equivalence(params)) == 13
 
     def test_matches_search_min_run_tail(self):
-        """The min-run tail and the p-batch rule in _finish, with the bound on."""
+        """The min-run tail and the p-batch rule in `_Engine.emit`, with the bound on."""
         total = 0
         for rank, s in [(25, 3), (27, 3), (33, 3), (35, 5), (41, 5)]:
             for run in range(2, 6):
