@@ -232,8 +232,7 @@ def _emit_classify(report: dict, fmt: str, out) -> None:
     out.write(f"# Classification report: rank {report['rank']}\n\n")
     out.write(f"Invertible-count candidates: {report['invertible_candidates']}\n\n")
     for h in report["hypotheses"]:
-        out.write(f"## {h['kind']} (invertibles = {h['invertibles']}): "
-                  f"{h.get('status', 'ANALYZED')}\n")
+        out.write(f"## {h['kind']} (invertibles = {h['invertibles']}): {h['status']}\n")
         if h.get("citations"):
             out.write(f"citations: {', '.join(h['citations'])}\n")
         if h.get("detail"):

@@ -30,10 +30,11 @@ nothing is factored there.  With fpdim_bound set, the same search adds
 exact prunes, and `_Engine.final_pick` closes every state whose D must
 equal l by picking the remaining dims among the divisors of l.  Every close
 builds its rows in one place, `_Engine.emit`, which sets fpdim = w*D^2 and
-d_i = D/u_i and keeps D <= isqrt(bound // w), exactly fpdim <= bound (see
-`_Engine`).  The oracle checks the bounded search (`tests/test_oracle.py`,
-Criterion 9).  Past its bound, three steps rest on proof alone: tests plant
-completions through `children`' `top` and `first` at rem = 2 only
+d_i = D/u_i and keeps D <= isqrt(bound // w), exactly fpdim <= bound; each
+close picks its last dim >= dmin itself (see `_Engine`).  The oracle checks
+the bounded search (`tests/test_oracle.py`, Criterion 9).  Past its bound,
+three steps rest on proof alone: tests plant completions through
+`children`' `top` and `first` at rem = 2 only
 (`test_planted_two_level_batch`) and none through the min-run rule's drops
 or the state cut and lcm cap; `TestFinalPick` plants the D = l close.
 """
@@ -250,13 +251,13 @@ class _Engine:
       d >= lo = max(dmin, isqrt((a - s)/2n));
     * so X = Q*u_k^2 - N = T/d^2 is an integer <= T // lo^2, and u_k is at
       most top = isqrt((T // lo^2 + N) // Q), at least u (u + 2 when n > 1),
-      and at least isqrt(N // Q) + 1, the least u_k with X > 0;
-    * u_k >= u needs (Q*u^2 - N)*d^2 <= T, the only upper bound on d the scan
-      needs, as every u_k >= u that solves the equation meets it; it empties
-      the window when T // (Q*u^2 - N) < lo^2.
-    A state returns on an empty u_k range or that cap, cheapest test first;
-    otherwise each u_k in range needs X | T and T/X = d^2 a square.  As s/d^2
-    is small next to 2n, u_k sits near l*sqrt(2n*g/Q): most states scan nothing.
+      and at least isqrt(N // Q) + 1, the least u_k with X > 0.
+    A state returns when its least u_k, `first`, has X > T // lo^2, which is
+    exactly first > top and saves the isqrt for top.  u_k >= u needs no test
+    of its own: first >= u, so a nonempty range has (Q*u^2 - N)*lo^2 <= T.
+    Otherwise each u_k in range needs X | T and T/X = d^2 a square, and then
+    d >= lo >= dmin.  As s/d^2 is small next to 2n, u_k sits near
+    l*sqrt(2n*g/Q): most states scan nothing.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -339,10 +340,6 @@ class _Engine:
             Tlo = T // (lo * lo)
             if Q * first * first - N > Tlo:
                 continue
-            # u_k >= u needs (Q*u^2 - N)*d^2 <= T
-            Qn = Q * u * u - N
-            if Qn > 0 and T // Qn < lo * lo:
-                continue
             top = isqrt((Tlo + N) // Q)
             for up in range(first, top + 1, 2):
                 if cop and w * up * up % cop == 0:
@@ -368,10 +365,13 @@ class _Engine:
     def emit(self, D: int, path, tail=()) -> None:
         """The one row builder: dims D/u_j over the u-chain `path`, then the
         closing dims `tail`, with fpdim = w*D^2.  The row is dropped unless
-        every D/u_j is whole, the last (least) dim is at least dmin,
-        D <= Dmax (exactly fpdim <= bound, as Dmax = isqrt(bound // w)), no
-        dim of a perfect layer is a prime power, and `_min_run_ok` holds
-        with min_run.  Every dim is odd: u, l, d and e are."""
+        every D/u_j is whole, D <= Dmax (exactly fpdim <= bound, as
+        Dmax = isqrt(bound // w)), no dim of a perfect layer is a prime
+        power, and `_min_run_ok` holds with min_run.  Every dim is odd, as
+        u, l, d and e are, and each close picks its last (least) dim >= dmin:
+        `final_node`'s d >= lo, `final_pick`'s divisors l/v, and at the root,
+        where `final_chain`'s k dims are equal (k = 1, or k = L after a run
+        extension), `m1_candidates`' cap m1 <= g*(2k + s/dmin^2)."""
         if self.Dmax is not None and D > self.Dmax:
             return
         dims = []
@@ -381,8 +381,7 @@ class _Engine:
                 return
             dims.append(q)
         dims = tuple(dims) + tail
-        if (dims[-1] < self.dmin
-                or self.params.perfect and any(is_prime_power(d) for d in dims)
+        if (self.params.perfect and any(is_prime_power(d) for d in dims)
                 or self.L > 1 and not _min_run_ok(dims, self.L)):
             return
         # the rows of one D share one fpdim int object, which saves memory

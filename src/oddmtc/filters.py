@@ -151,7 +151,7 @@ def _fills(counts, idx, size, budget, cap):
     if size == 0 and budget == 0:
         yield (0,) * (len(counts) - idx)
         return
-    if idx == len(counts) or size == 0 or budget < 0:
+    if idx == len(counts) or size == 0:
         return
     value, avail = counts[idx]
     max_take = min(avail, size, budget // (value * value))

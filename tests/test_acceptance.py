@@ -74,7 +74,7 @@ class TestCriterion4Rank47:
 
 
 class TestCriterion5AdjointTables:
-    @pytest.mark.parametrize("table_id", ["T2", "T4", "T5", "T6"])
+    @pytest.mark.parametrize("table_id", ["T2", "T4", "T5", "T6", "T7"])
     def test_table(self, golden_tables, table_id):
         with timed(120):
             assert goldens.verify(golden_tables[table_id]).empty
@@ -109,8 +109,6 @@ class TestCriterion6PredicateRuns:
 
     @staticmethod
     def _assert_matches(capsys, table):
-        import json
-
         rows = json.loads(capsys.readouterr().out)
         got = {(r["fpdim"], tuple(r["dims"])) for r in rows}
         assert got == keys(table.rows)
@@ -124,8 +122,6 @@ class TestCriterion7GradingCases:
             assert (7,) * 7 in [c.component_ranks for c in enumerate_cases(49, 7)]
 
     def test_filtered_spot_set(self, capsys):
-        import json
-
         with timed(10):
             code = cli.main(["gradings", "--rank", "33", "--invertibles", "3",
                              "--apply-filters", "--format", "json"])
@@ -155,22 +151,11 @@ class TestCriterion8FilterChain:
                        if filters.deequiv_solution_filter(
                            sols[i].dims, 3, sols[i].fpdim).discard]
             assert deequiv == [26, 27, 29, 31, 33]
-            rest = [i for i in fixed if i not in deequiv]
-            dual = []
-            for i in rest:
-                non_div = [d for d in sols[i].dims if d % 3]
-                if non_div and filters.dual_product_feasible(
-                        sorted(set(sols[i].dims)), min(non_div)).discard:
-                    dual.append(i)
+            dual = [i for i in fixed if i not in deequiv
+                    and filters.dual_product_rule(sols[i], case).discard]
             assert dual == [9]
-            survivor = sols[34]
-            assert not filters.outside_dim_uniformity(survivor, case).discard
-            assert not filters.fixed_dim_multiplicity_filter(survivor, 3).discard
-            assert not filters.component_packing_feasible(survivor, case).discard
-            assert not filters.deequiv_solution_filter(
-                survivor.dims, 3, survivor.fpdim).discard
-            assert not filters.dual_product_feasible(
-                sorted(set(survivor.dims)), 7).discard
+            # row 34 passes every step above, and the packing rule
+            assert not filters.component_packing_feasible(sols[34], case).discard
 
     def test_classify_rank25_flags(self, classify_reports):
         graded = [h for h in classify_reports[25]["hypotheses"]
@@ -187,6 +172,7 @@ class TestCriterion9OracleEquivalence:
     def test_sweep(self):
         bound = 10**6
         pinned = json.loads(ORACLE_COUNTS.read_text("utf-8"))
+        assert pinned["25,3"] == 16  # the rank-25 arrays with fpdim below 10^6
         swept = set()
         with timed(1800):
             for rank in range(17, 50, 2):

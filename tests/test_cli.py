@@ -285,12 +285,12 @@ class TestAdjointDims:
         assert [r[0] for r in rows[1:]] == ["2925", "333"]
 
     def test_adjoint_rank_exceeds_rank(self, capsys):
-        code = cli.main(["adjoint-dims", "--rank", "5", "--gc", "5",
-                         "--adjoint-rank", "15", "--adjoint-invertibles", "3"])
+        code = cli.main(["adjoint-dims", "--rank", "7", "--gc", "3",
+                         "--adjoint-rank", "9", "--adjoint-invertibles", "3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == "error: adjoint_rank must not exceed rank\n"
 
 
 class TestGradings:

@@ -170,8 +170,8 @@ class TestSearchParams:
         dict(rank=25, invertibles=3, mi_coprime=0),
         dict(rank=25, invertibles=3, fpdim_bound=0),
         dict(rank=25, invertibles=3, fpdim_bound=-5),
-        dict(rank=5, invertibles=5, adjoint_rank=15, adjoint_invertibles=3),
-        dict(rank=5, invertibles=5, adjoint_rank=5, adjoint_invertibles=3),
+        dict(rank=7, invertibles=3, adjoint_rank=9, adjoint_invertibles=3),
+        dict(rank=25, invertibles=3, adjoint_rank=15, adjoint_invertibles=4),
         dict(rank=49, invertibles=5, adjoint_rank=29),
         dict(rank=49, invertibles=5, adjoint_invertibles=5),
     ])
@@ -292,8 +292,8 @@ class TestFinalNode:
     # drops the rows above it; a popped state with Dmax < 3l closes in
     # final_pick instead (rank27-bound's one row).  The counts are
     # {levels: (states, rows emitted)}, over every batch; levels = L is the
-    # min-run tail.  T1, T5 and T8 stay out: the reference takes 6-18 s of
-    # CPU on each.
+    # min-run tail.  T1, T5 and T8 stay out: the reference takes 6.3-17.5 s
+    # of CPU on each.
     COUNTS = {
         "rank27": {1: (4, 1)}, "T2": {1: (9, 3)}, "T3": {1: (20681, 15)}, "T4": {1: (39, 13)},
         "T6": {1: (5, 2)},

@@ -100,6 +100,8 @@ class TestSquarefreeSplit:
         assert squarefree_split(25) == (5, 1)
         assert squarefree_split(45) == (3, 5)
         assert squarefree_split(99225) == (315, 1)
+        with pytest.raises(ValueError):
+            squarefree_split(0)
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_roundtrip(self, n):
@@ -120,6 +122,8 @@ class TestPrimePredicates:
         assert not is_prime_power(1)
         assert not is_prime_power(15)
         assert not is_prime_power(441)
+        with pytest.raises(ValueError):
+            is_prime_power(0)
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_prime_power_agrees_with_factorization(self, n):

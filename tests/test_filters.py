@@ -156,6 +156,10 @@ class TestOutsideDimUniformity:
         verdict = filters.outside_dim_uniformity(DimSolution(fpdim, 3, dims), RANK25_CASE)
         assert verdict.discard and verdict.detail == detail
 
+    def test_no_verdict_without_an_adjoint(self):
+        # three components of odd multiplicity: no adjoint rank to read
+        assert filters.outside_dim_uniformity(t1_solution(34), GradingCase((19, 11, 3))) is None
+
 
 class TestPacking:
     def test_feasible(self):
@@ -173,6 +177,12 @@ class TestPacking:
         sol = DimSolution(75, 3, (3, 3, 3, 3))
         case = GradingCase((9, 1, 1))
         assert filters.component_packing_feasible(sol, case).discard
+
+    def test_infeasible_after_full_fills(self):
+        # fpdim 765 = 5 * 153: rank-9 components of squared sum 153 exist,
+        # but no object has squared dim 153, so each full fill is rejected
+        sol = DimSolution(765, 5, (9, 9, 7, 7, 5, 5, 5, 3, 3, 3, 3, 3))
+        assert filters.component_packing_feasible(sol, GradingCase((9, 9, 9, 1, 1))).discard
 
 
 class TestDualProduct:
