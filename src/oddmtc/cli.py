@@ -286,11 +286,13 @@ def cmd_verify_goldens(args, out) -> int:
 
 def cmd_oracle_check(args, out) -> int:
     params = _params_from_args(args)  # --fpdim-bound defaults to 10^6 here
+    reference = oracle.oracle_rows(params)  # streamed: only the search's rows are held
     search = enumerate_solutions(params, jobs=args.jobs)
-    reference = oracle.oracle_enumerate(params)
     diff = oracle.compare(search, reference, params.fpdim_bound)
     if diff.empty:
-        out.write(f"match: {len(reference)} solutions with fpdim <= {params.fpdim_bound}\n")
+        # every oracle row was checked off one search row within the bound
+        count = sum(r.fpdim <= params.fpdim_bound for r in search)
+        out.write(f"match: {count} solutions with fpdim <= {params.fpdim_bound}\n")
         return 0
     out.write(f"MISMATCH: {len(diff.missing)} missing, {len(diff.extra)} extra\n")
     _write_diff(diff, out)

@@ -163,11 +163,23 @@ class RowDiff:
 
 
 def diff_rows(want, got) -> RowDiff:
-    """The one row comparison: on the rows themselves, each side ascending
-    by (fpdim, dims)."""
-    want, got = set(want), set(got)
+    """The one row comparison, on the rows themselves.
+
+    Only `got` is held, as a set; `want` is iterated once, so it may be a
+    stream, and each of its rows is checked off the held set.  A `want` row
+    not found there, a second copy included, is missing; whatever is left
+    held is extra.  Holding one side keeps `oracle-check`'s peak memory to
+    one side's rows.  Missing and extra are each ascending by (fpdim, dims).
+    """
+    held = set(got)
+    missing = []
+    for row in want:
+        try:
+            held.remove(row)
+        except KeyError:
+            missing.append(row)
     order = attrgetter("fpdim", "dims")
-    return RowDiff(tuple(sorted(want - got, key=order)), tuple(sorted(got - want, key=order)))
+    return RowDiff(tuple(sorted(missing, key=order)), tuple(sorted(held, key=order)))
 
 
 def validate_solution(sol: DimSolution, params: SearchParams) -> None:

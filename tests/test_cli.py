@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oddmtc import cli, dimsearch, gradings
+from oddmtc import cli, dimsearch, gradings, oracle
 from oddmtc.dimsearch import DimSolution, RowDiff, SearchParams
 
 # Expected `classify` verdicts, ranks 17-49: D discarded, N needs manual
@@ -455,14 +455,28 @@ class TestOracleCheck:
             f"  missing {first.fpdim} {list(first.dims)}\n"
             "  extra 99999 [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]\n"))
 
-    @pytest.mark.parametrize("bound", ["0", "-7"])
-    def test_invalid_bound(self, capsys, bound):
-        code = cli.main(["oracle-check", "--rank", "17", "--invertibles", "1",
+    def test_oracle_list_never_built(self, capsys, monkeypatch):
+        """The CLI streams the oracle's rows; it never asks for the whole list."""
+        def refuse(params):
+            raise AssertionError("oracle_enumerate called")
+
+        monkeypatch.setattr(oracle, "oracle_enumerate", refuse)
+        assert run(capsys, "oracle-check", "--rank", "25", "--invertibles", "3",
+                   "--fpdim-bound", "1000000") == (
+            0, "match: 16 solutions with fpdim <= 1000000\n")
+
+    @pytest.mark.parametrize("invertibles, bound, error", [
+        pytest.param("1", "0", "fpdim_bound must be positive", id="0"),
+        pytest.param("1", "-7", "fpdim_bound must be positive", id="-7"),
+        pytest.param("3", "2", "bound below the invertible count", id="below-invertibles"),
+    ])
+    def test_invalid_bound(self, capsys, invertibles, bound, error):
+        code = cli.main(["oracle-check", "--rank", "17", "--invertibles", invertibles,
                          "--fpdim-bound", bound])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddmtc import oracle
-from oddmtc.dimsearch import (SearchParams, canonical, diff_rows, enumerate_solutions,
-                               validate_solution)
+from oddmtc.dimsearch import (DimSolution, SearchParams, canonical, diff_rows,
+                               enumerate_solutions, validate_solution)
 from oddmtc.exactmath import squarefree_split
 from oddmtc.filters import fixed_dim_multiplicity_filter
 
@@ -94,13 +95,16 @@ class TestOracleEnumerate:
         for row in oracle.oracle_enumerate(params):
             validate_solution(row, params)
 
+    # `oracle_rows` raises when called, before the first row is asked for
     def test_bound_below_invertibles_rejected(self):
-        with pytest.raises(ValueError):
-            oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3, fpdim_bound=2))
+        for fn in (oracle.oracle_enumerate, oracle.oracle_rows):
+            with pytest.raises(ValueError, match="bound below the invertible count"):
+                fn(SearchParams(rank=25, invertibles=3, fpdim_bound=2))
 
     def test_unbounded_params_rejected(self):
-        with pytest.raises(ValueError, match="fpdim bound"):
-            oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3))
+        for fn in (oracle.oracle_enumerate, oracle.oracle_rows):
+            with pytest.raises(ValueError, match="fpdim bound"):
+                fn(SearchParams(rank=25, invertibles=3))
 
 
 class TestGoldenTablesUpToLargestRow:
@@ -198,3 +202,40 @@ class TestCompare:
         diff = oracle.compare(rows, rows[1:], 10**5)
         assert diff.extra == (rows[0],) and not diff.missing
         assert not oracle.compare(rows, rows, 10**5).missing
+
+
+class TestStreamedDiff:
+    """`diff_rows` holds `got` and checks `want` off it once, so `want` may
+    be the oracle's stream."""
+
+    ROWS = st.lists(st.builds(DimSolution, st.integers(1, 40), st.just(3),
+                              st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple)),
+                    unique=True, max_size=12)
+
+    @given(pool=ROWS, pick=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_set_difference(self, pool, pick):
+        # each pooled row goes to neither side, want only, got only or both
+        want = [row for row, side in zip(pool, pick) if side & 1]
+        got = [row for row, side in zip(pool, pick) if side & 2]
+        order = lambda row: (row.fpdim, row.dims)  # noqa: E731
+        diff = diff_rows(iter(want), got)
+        assert diff.missing == tuple(sorted(set(want) - set(got), key=order))
+        assert diff.extra == tuple(sorted(set(got) - set(want), key=order))
+
+    def test_second_copy_in_stream_is_missing(self):
+        row, other = DimSolution(33, 3, (3, 3)), DimSolution(41, 3, (5,))
+        diff = diff_rows(iter([row, other, row]), [row, other])
+        assert diff.missing == (row,) and not diff.extra
+
+    @pytest.mark.parametrize("params", [
+        SearchParams(rank=25, invertibles=3, fpdim_bound=10**6),
+        # T6's layer
+        SearchParams(rank=45, invertibles=3, adjoint_rank=15, adjoint_invertibles=3,
+                     fpdim_bound=10**5),
+        SearchParams(rank=33, invertibles=1, fpdim_bound=4 * 10**6),
+    ], ids=["basic", "adjoint", "perfect"])
+    def test_oracle_rows_ascend(self, params):
+        fpdims = [row.fpdim for row in oracle.oracle_rows(params)]
+        assert fpdims and fpdims == sorted(fpdims)
+        assert canonical(oracle.oracle_rows(params)) == oracle.oracle_enumerate(params)
