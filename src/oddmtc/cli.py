@@ -290,9 +290,9 @@ def cmd_oracle_check(args, out) -> int:
     search = enumerate_solutions(params, jobs=args.jobs)
     diff = oracle.compare(search, reference, params.fpdim_bound)
     if diff.empty:
-        # every oracle row was checked off one search row within the bound
-        count = sum(r.fpdim <= params.fpdim_bound for r in search)
-        out.write(f"match: {count} solutions with fpdim <= {params.fpdim_bound}\n")
+        # every oracle row was checked off one search row, and every row of a
+        # bounded search passed `validate_solution`'s "fpdim within bound"
+        out.write(f"match: {len(search)} solutions with fpdim <= {params.fpdim_bound}\n")
         return 0
     out.write(f"MISMATCH: {len(diff.missing)} missing, {len(diff.extra)} extra\n")
     _write_diff(diff, out)

@@ -36,12 +36,13 @@ the bounded search (`tests/test_oracle.py`, Criterion 9).  Past its bound,
 three steps rest on proof alone: tests plant completions through
 `children`' `top` and `first` at rem = 2 only
 (`test_planted_two_level_batch`) and none through the min-run rule's drops
-or the state cut and lcm cap; `TestFinalPick` plants the D = l close.
+or the state cut; `TestFinalPick` plants the D = l close, and `TestNextLevel`
+checks the lcm cap's per-l table of children against lcm(l, u') <= Dmax.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -259,17 +260,20 @@ class _Engine:
     and L = 1 or L >= 2 = rem, so run = L and each child closes at rem = 1.
     With N = 2n*g*l^2 and T = s*g*l^2, Q*u_k^2 = T/d^2 + N for d = d_k:
     * with G = gcd(Q, g*l^2), a = Q/G is prime to g*l^2/G, so
-      Q*(u_k*d)^2 = g*l^2*(s + 2n*d^2) gives a | s + 2n*d^2, and
-      d >= lo = max(dmin, isqrt((a - s)/2n));
-    * so X = Q*u_k^2 - N = T/d^2 is an integer <= T // lo^2, and u_k is at
-      most top = isqrt((T // lo^2 + N) // Q), at least u (u + 2 when n > 1),
-      and at least isqrt(N // Q) + 1, the least u_k with X > 0.
-    A state returns when its least u_k, `first`, has X > T // lo^2, which is
-    exactly first > top and saves the isqrt for top.  u_k >= u needs no test
-    of its own: first >= u, so a nonempty range has (Q*u^2 - N)*lo^2 <= T.
-    Otherwise each u_k in range needs X | T and T/X = d^2 a square, and then
-    d >= lo >= dmin.  As s/d^2 is small next to 2n, u_k sits near
-    l*sqrt(2n*g/Q): most states scan nothing.
+      Q*(u_k*d)^2 = g*l^2*(s + 2n*d^2) gives a | s + 2n*d^2 > 0, and
+      d^2 >= lo2 = max(dmin^2, (a - s) // 2n);
+    * so X = Q*u_k^2 - N = T/d^2 is an integer with X*lo2 <= T, and u_k is
+      at most top = isqrt((T // lo2 + N) // Q) and at least `first`, the
+      least odd u_k >= u + skip (skip = 0, or 2 when n > 1) with X > 0.
+      That is u + skip itself when Q*(u + skip)^2 > N, and
+      isqrt(N // Q) + 1, made odd, otherwise: isqrt(N // Q) >= m exactly
+      when N >= Q*m^2.
+    A state returns when `first` has X*lo2 > T, which is exactly first > top
+    and saves the division and the isqrt for top: more than 99 % of the
+    states of the T1, T5 and T8 searches return there.  Otherwise each u_k in
+    range needs X | T and T/X = d^2 a square, and then d^2 >= lo2 >= dmin^2.
+    As s/d^2 is small next to 2n, u_k sits near l*sqrt(2n*g/Q): most states
+    scan nothing.
 
     With min_run = L, a chain must hold L consecutive equal u_i (equal u
     gives equal dims).  Each state carries `run`, the length of its trailing
@@ -287,10 +291,10 @@ class _Engine:
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
     four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6; its searches take 0.37-0.42 s of CPU with
-    all four (Python 3.11, 2 cores, each figure from 3 runs):
+    oracle sweep at bound 10^6; its searches take 0.36-0.41 s of CPU with
+    all four (Python 3.11, 2 cores, each figure from 3-5 runs):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 0.59-0.65 s without it.  A state that
+      state: the sweep's searches take 0.42-0.45 s without it.  A state that
       passes has `top` <= Dmax // dmin, and a child it would cut is cut when
       popped.  The children of a rem = 2 state are not popped: they close in
       `final_node`, exact for any state, past the cut and the D = l close
@@ -301,19 +305,26 @@ class _Engine:
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
       `divisors` finds each l's divisors once per engine, and `final_pick`
-      picks its rows' dims from them.  The sweep's searches take 0.84-0.86 s
+      picks its rows' dims from them.  The sweep's searches take 0.71-0.77 s
       without it.
-    * the lcm cap, the only bounded filter in `children`, which now sees
-      only Dmax // l >= 3: D is a multiple of l' = l*r, so a child u' is
-      skipped unless r <= Dmax // l.  It is a pure prune: every row below
-      such a child has D >= l' > Dmax.  Without it the sweep's searches take
-      5.2-5.6 s: `final_pick` closes 712,332 states, those with l > Dmax
-      among them, and picks through their divisors for rows `emit` drops.
+    * the lcm cap, the only bounded step in `children`, which now sees
+      only Dmax // l >= 3: D is a multiple of l' = l*r with h = gcd(l, u')
+      and r = u'/h, so only a u' with r <= Dmax // l can lead to a row.  It
+      is a pure prune: every row below any other child has D >= l' > Dmax.
+      `kept` lists those u' once per l, ascending: u' = h*r with h | l,
+      r <= Dmax // l odd and gcd(l/h, r) = 1, one form per u'.  `children`
+      bisects the list to [first, top]: over the sweep, 179,874 of its
+      entries stand in for the 1,095,822 odd u' in those ranges, from 1,051
+      lists of 46,648 entries in all.  Without the cap, with every odd u'
+      in range a child, the sweep's searches take 5.8-6.3 s: `final_pick` then
+      closes 712,332 states instead of 36,531, 675,801 of them with
+      l > Dmax, and picks through their divisors for rows `emit` drops.
     * `emit` drops D > Dmax, which is exactly fpdim > bound: that test
       defines the bound, and it is the only bound test on any row.
-    The floor `a` puts on d in `final_node` serves every search: without it,
-    the searches of T1-T4, T6 and T7 take 1.45 s instead of 0.10 s, T8 2.2 s
-    instead of 0.29 s, and T5 2.5 s instead of 0.17 s (Python 3.11, one core).
+    The floor `a` puts on d in `final_node` serves every search: with
+    lo2 = dmin^2 alone, the searches of T1-T4, T6 and T7 take 1.6-1.7 s
+    instead of 0.10 s, T8 2.4-2.6 s instead of 0.31-0.36 s, and T5
+    2.7-2.8 s instead of 0.17-0.19 s (Python 3.11, 2 cores, 3 runs each).
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -330,29 +341,35 @@ class _Engine:
         self.Dmax = None if bound is None else isqrt(bound // w)
         self.out: list[DimSolution] = []
         self.l_divisors: dict[int, tuple[list[int], list[int]]] = {}
+        self.l_kept: dict[int, list[int]] = {}
         self.fpdims: dict[int, int] = {}
 
     def final_node(self, prefix, states, levels: int) -> None:
         """Emit prefix + (u,) + (u_k,)*n for each state (u, Q, l) of `states`
         whose new u_k fills the last n = `levels` levels (see above)."""
-        s, g, dmin, dmin2, w, cop = self.s, self.g, self.dmin, self.dmin2, self.w, self.cop
+        s, g, dmin2, w, cop = self.s, self.g, self.dmin2, self.w, self.cop
         n2 = 2 * levels
         # u_k > u when n > 1: the min-run rule grows the run of u itself
         skip = 0 if levels == 1 else 2
         for u, Q, l in states:
             gl2 = g * l * l
-            # a divides s + 2n*d^2, so d^2 >= (a - s)/2n
+            N = n2 * gl2
+            # the least odd u_k >= u + skip with X = Q*u_k^2 - N > 0; u + skip
+            # is odd, and isqrt(N // Q) >= u + skip exactly when N >= Q*(u + skip)^2
+            first = u + skip
+            X = Q * first * first - N
+            if X <= 0:
+                first = (isqrt(N // Q) + 1) | 1
+                X = Q * first * first - N
+            # a divides s + 2n*d^2 > 0, so d^2 >= lo2 >= dmin^2
             lo2 = (Q // gcd(Q, gl2) - s) // n2
-            lo = isqrt(lo2) if lo2 > dmin2 else dmin
-            T, N = s * gl2, n2 * gl2
-            # the least odd u_k >= u + skip with X = Q*u_k^2 - N > 0
-            first = isqrt(N // Q) + 1
-            first = (first if first > u + skip else u + skip) | 1
-            # T/d^2 is an integer <= T // lo^2, so X <= T // lo^2
-            Tlo = T // (lo * lo)
-            if Q * first * first - N > Tlo:
+            if lo2 < dmin2:
+                lo2 = dmin2
+            # X = T/d^2 with d^2 >= lo2, so X*lo2 <= T
+            T = s * gl2
+            if X * lo2 > T:
                 continue
-            top = isqrt((Tlo + N) // Q)
+            top = isqrt((T // lo2 + N) // Q)
             for up in range(first, top + 1, 2):
                 if cop and w * up * up % cop == 0:
                     continue
@@ -381,7 +398,7 @@ class _Engine:
         Dmax = isqrt(bound // w)), no dim of a perfect layer is a prime
         power, and `_min_run_ok` holds with min_run.  Every dim is odd, as
         u, l, d and e are, and each close picks its last (least) dim >= dmin:
-        `final_node`'s d >= lo, `final_pick`'s divisors l/v, and at the root,
+        `final_node`'s d^2 >= lo2, `final_pick`'s divisors l/v, and at the root,
         where `final_chain`'s k dims are equal (k = 1, or k = L after a run
         extension), `m1_candidates`' cap m1 <= g*(2k + s/dmin^2)."""
         if self.Dmax is not None and D > self.Dmax:
@@ -397,7 +414,9 @@ class _Engine:
                 or self.L > 1 and not _min_run_ok(dims, self.L)):
             return
         # the rows of one D share one fpdim int object, which saves memory
-        fpdim = self.fpdims.setdefault(D, self.w * D * D)
+        fpdim = self.fpdims.get(D)
+        if fpdim is None:
+            fpdim = self.fpdims[D] = self.w * D * D
         self.out.append(DimSolution(fpdim, self.s, dims))
 
     def divisors(self, l: int) -> tuple[list[int], list[int]]:
@@ -459,23 +478,44 @@ class _Engine:
 
     def children(self, Q: int, l: int, u: int, rem: int):
         """Continuations (u', Q', l') of state (Q, l) at u with rem levels
-        left: each odd u' >= u in ascending order with Q' > 0."""
+        left: each odd u' >= u in ascending order with Q' > 0, and with
+        fpdim_bound set, only those of `kept`."""
+        g2, cop, w = 2 * self.g, self.cop, self.w
         gl2 = self.g * l * l
         # every level still to come needs Q*u'^2 <= (s/dmin^2 + 2*rem)*g*l^2
         top = isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
         # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
         first = max(u, isqrt(2 * gl2 // Q) - 2) | 1
-        # D is a multiple of lcm(path, u') = l*r; unbounded, r <= u' <= top
-        cap = top if self.Dmax is None else self.Dmax // l
-        for up in range(first, top + 1, 2):
+        if self.Dmax is None:
+            ups = range(first, top + 1, 2)
+        else:
+            # D is a multiple of lcm(path, u') = l*r: only the u' of `kept` reach a row
+            kept = self.kept(l)
+            ups = kept[bisect_left(kept, first):bisect_right(kept, top)]
+        for up in ups:
+            # mi_coprime constrains the quotient w*u'^2, not u' alone
+            if cop and w * up * up % cop == 0:
+                continue
             h = gcd(l, up)
             r = up // h
-            # mi_coprime constrains the quotient w*u'^2, not u' alone
-            if r > cap or self.cop and self.w * up * up % self.cop == 0:
-                continue
-            Qn = Q * r * r - 2 * self.g * (l // h) ** 2
+            m = l // h
+            Qn = Q * r * r - g2 * m * m
             if Qn > 0:
                 yield up, Qn, l * r
+
+    def kept(self, l: int) -> list[int]:
+        """The odd u' whose lcm(l, u') = l*r has r <= Dmax // l, ascending,
+        memoized per l: u' = h*r with h = gcd(l, u') a divisor of l, r odd
+        and gcd(l/h, r) = 1, one form per u'.  In a search, `children` sees
+        only l <= Dmax // 3 and `final_pick` only larger l, so this memo and
+        `divisors`' never hold the same l."""
+        got = self.l_kept.get(l)
+        if got is None:
+            cap = self.Dmax // l
+            got = self.l_kept[l] = sorted(
+                h * r for h in range(1, l + 1, 2) if l % h == 0
+                for r in range(1, cap + 1, 2) if gcd(l // h, r) == 1)
+        return got
 
     def search(self, Q0: int, u1: int) -> None:
         k = self.k

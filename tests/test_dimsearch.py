@@ -83,6 +83,17 @@ def _chain_row(params: SearchParams, w: int, chain, D: int) -> DimSolution | Non
     return DimSolution(w * D * D, params.layer_invertibles, dims)
 
 
+def _children_fractions(eng: _Engine, Q: int, l: int, u: int, rem: int):
+    """`eng.children(Q, l, u, rem)` as next_level's (u', c') pairs, checking
+    that each child carries l' = lcm(l, u')."""
+    g = eng.params.group_order
+    got = []
+    for up, Qn, ln in eng.children(Q, l, u, rem):
+        assert ln == math.lcm(l, up)
+        got.append((up, Fraction(up * up * Qn, g * ln * ln)))
+    return got
+
+
 def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
                           levels: int) -> list[DimSolution]:
     """Completions whose new value u_k fills the last `levels` levels (u_k > u
@@ -256,16 +267,18 @@ class TestNextLevel:
            u=st.integers(0, 15).map(lambda x: 2 * x + 1), rem=st.integers(1, 10),
            lead=st.lists(st.integers(0, 15).map(lambda x: 2 * x + 1), max_size=3),
            cop=st.sampled_from([None, 3, 5, 9, 15, 25]),
-           slack=st.none() | st.integers(-2000, 2000))
+           slack=st.none() | st.integers(-2000, 2000),
+           times=st.just(1) | st.integers(2, 60))
     @settings(max_examples=500, deadline=None)
     def test_recurrence_and_bounds(self, params, w, c_num, c_den, nudge, u, rem, lead,
-                                   cop, slack):
+                                   cop, slack, times):
         """`_Engine.children` yields exactly the reference continuations, in
         order, from an integer Q near c_num/c_den*g*l^2/u^2 with
         l = lcm(path): the state c = u^2*Q/(g*l^2).  Each child carries
-        l' = lcm(path, u').  With fpdim_bound set, it yields the subset with
-        lcm(path, u') <= Dmax, also when l > Dmax: that is its only bounded
-        filter."""
+        l' = lcm(path, u').  With fpdim_bound set, Dmax = times*l + slack,
+        it yields the subset with lcm(path, u') <= Dmax, also when l > Dmax:
+        that is its only bounded filter.  A large `times` puts many r on each
+        divisor h of l in the bounded children's table."""
         assume(not cop or w * u * u % cop)
         g = params.group_order
         path = tuple(sorted(x for x in lead if x <= u)) + (u,)
@@ -274,15 +287,41 @@ class TestNextLevel:
         params = replace(params, mi_coprime=cop)
         want = next_level(Fraction(u * u * Q, g * l * l), u, rem, params, w)
         if slack is not None:
-            Dmax = max(1, l + slack)
+            Dmax = max(1, times * l + slack)
             params = replace(params, fpdim_bound=w * Dmax * Dmax)
             want = [(up, cn) for up, cn in want if math.lcm(l, up) <= Dmax]
+        assert _children_fractions(_Engine(params, w), Q, l, u, rem) == want
+
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           exps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+                         min_size=1, max_size=3),
+           calls=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 200),
+                                    st.integers(1, 10), st.integers(1, 8)),
+                          min_size=2, max_size=4),
+           Dmax=st.integers(1, 4000), cop=st.sampled_from([None, 3, 5, 9, 15]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_table_per_l(self, params, w, exps, calls, Dmax, cop):
+        """One bounded engine serves several (Q, u, rem) at each of a few l
+        (products of 3^a*5^b*7^c, with u among the divisors of l) from one
+        memoized table per l, so the table must depend on l alone: every
+        call yields exactly the reference continuations with
+        lcm(l, u') <= Dmax, and none when l > Dmax."""
+        g = params.group_order
+        params = replace(params, mi_coprime=cop, fpdim_bound=w * Dmax * Dmax)
         eng = _Engine(params, w)
-        got = []
-        for up, Qn, ln in eng.children(Q, l, u, rem):
-            assert ln == math.lcm(l, up)
-            got.append((up, Fraction(up * up * Qn, g * ln * ln)))
-        assert got == want
+        assert eng.Dmax == Dmax
+        for a, b, c in exps:
+            l = 3 ** a * 5 ** b * 7 ** c
+            us = [v for v in range(1, l + 1, 2) if l % v == 0]
+            for i, c_num, c_den, rem in calls:
+                u = us[i % len(us)]
+                Q = max(1, c_num * g * l * l // (c_den * u * u))
+                want = [(up, cn) for up, cn in
+                        next_level(Fraction(u * u * Q, g * l * l), u, rem, params, w)
+                        if math.lcm(l, up) <= Dmax]
+                got = _children_fractions(eng, Q, l, u, rem)
+                assert got == want, (l, u, Q, rem)
+                assert not (l > Dmax and got)
 
 
 class TestFinalNode:
@@ -433,13 +472,21 @@ class TestFinalNode:
         if row is not None and not (cop and any(w * v * v % cop == 0 for v in (u1, u2))):
             assert row in got
 
-    @given(Q=st.integers(1, 10**12), m=st.integers(0, 10**9), shift=st.integers(-2, 2))
-    def test_first_past_zero(self, Q, m, shift):
-        """isqrt(N // Q) + 1, final_node's floor on u_k, is the least u with
-        Q*u^2 > N; N = Q*m^2 + shift puts N next to a multiple of a square."""
+    @given(Q=st.integers(1, 10**12), m=st.integers(0, 10**9), shift=st.integers(-2, 2),
+           u=st.integers(0, 10**9).map(lambda x: 2 * x + 1), skip=st.sampled_from([0, 2]),
+           at_u=st.booleans())
+    def test_first_past_zero(self, Q, m, shift, u, skip, at_u):
+        """final_node's `first`, u + skip when Q*(u + skip)^2 > N and
+        otherwise (isqrt(N // Q) + 1) | 1, is the least odd u_k >= u + skip
+        with Q*u_k^2 > N.  N = Q*m^2 + shift puts N next to a multiple of a
+        square; with at_u, m = u + skip, so Q*(u + skip)^2 = N at shift = 0."""
+        if at_u:
+            m = u + skip
         N = max(0, Q * m * m + shift)
-        u = math.isqrt(N // Q) + 1
-        assert Q * u * u > N >= Q * (u - 1) ** 2
+        least = u + skip
+        first = least if Q * least * least > N else (math.isqrt(N // Q) + 1) | 1
+        assert first % 2 == 1 and first >= least and Q * first * first > N
+        assert first - 2 < least or Q * (first - 2) ** 2 <= N
 
 
 class TestFinalPick:
