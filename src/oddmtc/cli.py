@@ -288,7 +288,7 @@ def cmd_oracle_check(args, out) -> int:
     params = _params_from_args(args)  # --fpdim-bound defaults to 10^6 here
     reference = oracle.oracle_rows(params)  # streamed: only the search's rows are held
     search = enumerate_solutions(params, jobs=args.jobs)
-    diff = oracle.compare(search, reference, params.fpdim_bound)
+    diff = oracle.compare(search, reference)
     if diff.empty:
         # every oracle row was checked off one search row, and every row of a
         # bounded search passed `validate_solution`'s "fpdim within bound"

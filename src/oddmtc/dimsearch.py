@@ -28,7 +28,8 @@ passes all its children) whose new u_k fills the last level, or all L of a
 min-run tail, by a scan of the odd u_k that the window of d_k allows;
 nothing is factored there.  With fpdim_bound set, the same search adds
 exact prunes, and `_Engine.final_pick` closes every state whose D must
-equal l by picking the remaining dims among the divisors of l.  Every close
+equal l by picking the remaining dims among the divisors of l, read from
+the per-l table (`_Engine.kept`) that also caps `children`.  Every close
 builds its rows in one place, `_Engine.emit`, which sets fpdim = w*D^2 and
 d_i = D/u_i and keeps D <= isqrt(bound // w), exactly fpdim <= bound; each
 close picks its last dim >= dmin itself (see `_Engine`).  The oracle checks
@@ -37,7 +38,8 @@ three steps rest on proof alone: tests plant completions through
 `children`' `top` and `first` at rem = 2 only
 (`test_planted_two_level_batch`) and none through the min-run rule's drops
 or the state cut; `TestFinalPick` plants the D = l close, and `TestNextLevel`
-checks the lcm cap's per-l table of children against lcm(l, u') <= Dmax.
+checks the per-l table through `children` against lcm(l, u') <= Dmax, and
+through `children` and `final_pick` at one l, in either order.
 """
 
 from __future__ import annotations
@@ -291,10 +293,10 @@ class _Engine:
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
     four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6; its searches take 0.36-0.41 s of CPU with
-    all four (Python 3.11, 2 cores, each figure from 3-5 runs):
+    oracle sweep at bound 10^6; its searches take 0.33-0.36 s of CPU with
+    all four (Python 3.11.7, 2 cores, each figure from 9-18 runs):
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 0.42-0.45 s without it.  A state that
+      state: the sweep's searches take 0.41-0.46 s without it.  A state that
       passes has `top` <= Dmax // dmin, and a child it would cut is cut when
       popped.  The children of a rem = 2 state are not popped: they close in
       `final_node`, exact for any state, past the cut and the D = l close
@@ -304,21 +306,22 @@ class _Engine:
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
-      `divisors` finds each l's divisors once per engine, and `final_pick`
-      picks its rows' dims from them.  The sweep's searches take 0.71-0.77 s
-      without it.
-    * the lcm cap, the only bounded step in `children`, which now sees
-      only Dmax // l >= 3: D is a multiple of l' = l*r with h = gcd(l, u')
-      and r = u'/h, so only a u' with r <= Dmax // l can lead to a row.  It
-      is a pure prune: every row below any other child has D >= l' > Dmax.
-      `kept` lists those u' once per l, ascending: u' = h*r with h | l,
-      r <= Dmax // l odd and gcd(l/h, r) = 1, one form per u'.  `children`
-      bisects the list to [first, top]: over the sweep, 179,874 of its
-      entries stand in for the 1,095,822 odd u' in those ranges, from 1,051
-      lists of 46,648 entries in all.  Without the cap, with every odd u'
-      in range a child, the sweep's searches take 5.8-6.3 s: `final_pick` then
-      closes 712,332 states instead of 36,531, 675,801 of them with
-      l > Dmax, and picks through their divisors for rows `emit` drops.
+      With Dmax // l < 3, `kept(l)` below is the odd divisors v of l, and
+      `final_pick` bisects it to [u, l // dmin] and reads each d as l // v.
+      The sweep's searches take 0.66-0.71 s without it.
+    * the lcm cap, the only bounded step in `children`, which sees only
+      Dmax // l >= 3: D is a multiple of l' = l*r with h = gcd(l, u') and
+      r = u'/h, so only a u' with r <= Dmax // l can lead to a row.  It is a
+      pure prune: every row below any other child has D >= l' > Dmax.
+      `kept` lists those u' once per l, ascending, less those mi_coprime
+      rules out: u' = h*r with h | l, r <= Dmax // l odd and
+      gcd(l/h, r) = 1, one form per u'.  `children` bisects the list to
+      [first, top]: over the sweep, 179,874 of its entries stand in for the
+      1,095,822 odd u' in those ranges, and with `final_pick`'s l the
+      engines build 1,515 lists of 50,674 entries in all.  Without the cap,
+      with every odd u' in range a child, the sweep's searches take
+      0.84-0.92 s: `final_pick` then closes 712,332 states instead of
+      36,531, 675,801 of them with l > Dmax, where `kept(l)` is empty.
     * `emit` drops D > Dmax, which is exactly fpdim > bound: that test
       defines the bound, and it is the only bound test on any row.
     The floor `a` puts on d in `final_node` serves every search: with
@@ -340,7 +343,6 @@ class _Engine:
         bound = params.fpdim_bound
         self.Dmax = None if bound is None else isqrt(bound // w)
         self.out: list[DimSolution] = []
-        self.l_divisors: dict[int, tuple[list[int], list[int]]] = {}
         self.l_kept: dict[int, list[int]] = {}
         self.fpdims: dict[int, int] = {}
 
@@ -419,45 +421,35 @@ class _Engine:
             fpdim = self.fpdims[D] = self.w * D * D
         self.out.append(DimSolution(fpdim, self.s, dims))
 
-    def divisors(self, l: int) -> tuple[list[int], list[int]]:
-        """The odd divisors v of l with l/v >= dmin and w*v^2 prime to
-        mi_coprime, ascending, and their dims l/v, memoized per l."""
-        got = self.l_divisors.get(l)
-        if got is None:
-            w, cop = self.w, self.cop
-            vs = [v for v in range(1, l // self.dmin + 1, 2)
-                  if l % v == 0 and not (cop and w * v * v % cop == 0)]
-            got = self.l_divisors[l] = (vs, [l // v for v in vs])
-        return got
-
     def final_pick(self, Q: int, l: int, u: int, path, rem: int) -> None:
         """Close a bounded state with D = l: every later d_j = l/u_j is an odd
         divisor of l in [dmin, l/u], and their squares sum to exactly
         H = (Q - g*s)/2g.  Every d_j is odd, so d_j^2 = 1 (mod 8) and
         H = rem (mod 8).  Picks each nonincreasing run of rem of them,
         a divisor and its count at a time, largest divisor first, and passes
-        `emit` each whole row: the path's dims l/u_j, then the picked ones."""
+        `emit` each whole row: the path's dims l/u_j, then the picked ones.
+        It runs at Dmax // l < 3, where `kept(l)` is l's odd divisors."""
         g = self.g
         H, odd = divmod(Q - g * self.s, 2 * g)
         if odd or (H - rem) % 8 or H < rem * self.dmin2:
             return
-        vs, divs = self.divisors(l)
+        vs = self.kept(l)
         first = bisect_left(vs, u)
-        if first == len(divs) or not rem * divs[-1] ** 2 <= H <= rem * divs[first] ** 2:
+        last = bisect_right(vs, l // self.dmin) - 1
+        if first > last or not rem * (l // vs[last]) ** 2 <= H <= rem * (l // vs[first]) ** 2:
             return
-        low2 = divs[-1] ** 2
-        last = len(divs) - 1
+        low2 = (l // vs[last]) ** 2
         tails = []
 
         def pick(i, need, budget, dims):
-            # on entry need*divs[-1]^2 <= budget <= need*divs[i]^2
-            d = divs[i]
+            # on entry need*low2 <= budget <= need*(l // vs[i])^2
+            d = l // vs[i]
             if i == last:
                 # budget == need*d^2: the last divisor fills every level
                 tails.append(dims + (d,) * need)
                 return
             d2 = d * d
-            next2 = divs[i + 1] ** 2
+            next2 = (l // vs[i + 1]) ** 2
             for take in range(min(need, budget // d2), -1, -1):
                 b, n = budget - take * d2, need - take
                 if b > n * next2:
@@ -504,17 +496,17 @@ class _Engine:
                 yield up, Qn, l * r
 
     def kept(self, l: int) -> list[int]:
-        """The odd u' whose lcm(l, u') = l*r has r <= Dmax // l, ascending,
-        memoized per l: u' = h*r with h = gcd(l, u') a divisor of l, r odd
-        and gcd(l/h, r) = 1, one form per u'.  In a search, `children` sees
-        only l <= Dmax // 3 and `final_pick` only larger l, so this memo and
-        `divisors`' never hold the same l."""
+        """The odd u' whose lcm(l, u') = l*r has r <= Dmax // l, less those
+        mi_coprime rules out, ascending, memoized per l: u' = h*r with h | l
+        (by trial division up to isqrt(l)), r odd and gcd(l/h, r) = 1, one
+        form per u'.  At Dmax // l < 3, where `final_pick` reads it, that is
+        r = 1: the odd divisors of l."""
         got = self.l_kept.get(l)
         if got is None:
-            cap = self.Dmax // l
-            got = self.l_kept[l] = sorted(
-                h * r for h in range(1, l + 1, 2) if l % h == 0
-                for r in range(1, cap + 1, 2) if gcd(l // h, r) == 1)
+            cap, w, cop = self.Dmax // l, self.w, self.cop
+            hs = {x for d in range(1, isqrt(l) + 1, 2) if l % d == 0 for x in (d, l // d)}
+            ups = [h * r for h in hs for r in range(1, cap + 1, 2) if gcd(l // h, r) == 1]
+            got = self.l_kept[l] = sorted(v for v in ups if not (cop and w * v * v % cop == 0))
         return got
 
     def search(self, Q0: int, u1: int) -> None:

@@ -323,6 +323,44 @@ class TestNextLevel:
                 assert got == want, (l, u, Q, rem)
                 assert not (l > Dmax and got)
 
+    @given(params=st.sampled_from(PLANT_PARAMS), w=st.sampled_from([1, 3, 5, 7, 15]),
+           exps=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+                          st.integers(0, 1)),
+           lead=st.integers(0, 40), picks=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           cop=st.sampled_from([None, 3, 5, 9, 15]), over=st.integers(0, 10**6),
+           pick_first=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_table_shared_with_final_pick(self, params, w, exps, lead, picks, cop, over,
+                                          pick_first):
+        """`children` and `final_pick` read the same memoized table of l, so
+        one bounded engine calls both at one l with Dmax // l < 3, in either
+        order, and each call must match its reference.  The state (Q, l, u)
+        is planted from a completion that takes a few divisors u' >= u of l,
+        a product of powers of 3, 5, 7, 11, with Q = g*(s + 2*sum (l/u')^2).
+        Dmax falls in [1, 3l): at Dmax < l neither call yields anything."""
+        s, g = params.layer_invertibles, params.group_order
+        l = 3 ** exps[0] * 5 ** exps[1] * 7 ** exps[2] * 11 ** exps[3]
+        us = [v for v in range(1, l + 1, 2) if l % v == 0]
+        u = us[lead % len(us)]
+        later = us[us.index(u):]
+        dims = tuple(l // v for v in sorted(later[i % len(later)] for i in picks))
+        Q, rem, path = g * (s + 2 * sum(d * d for d in dims)), len(dims), (u,)
+        Dmax = max(1, over % (3 * l))
+        params = replace(params, mi_coprime=cop, fpdim_bound=w * Dmax * Dmax)
+        eng = _Engine(params, w)
+        assert eng.Dmax == Dmax and Dmax // l < 3
+        kids = [(up, cn) for up, cn in
+                next_level(Fraction(u * u * Q, g * l * l), u, rem, params, w)
+                if math.lcm(l, up) <= Dmax]
+        rows = canonical(_final_pick_reference(eng, Q, l, u, path, rem))
+        for step in ("pick", "children") if pick_first else ("children", "pick"):
+            if step == "pick":
+                eng.final_pick(Q, l, u, path, rem)
+                assert canonical(eng.out) == rows, (l, u, Q, rem)
+            else:
+                assert _children_fractions(eng, Q, l, u, rem) == kids, (l, u, Q, rem)
+        assert not (Dmax < l and (kids or rows))
+
 
 class TestFinalNode:
     # final_node scans u_k; the reference scans the square divisors of
@@ -541,8 +579,8 @@ class TestFinalPick:
         Q = g*(s + 2*sum (l/u')^2).  With l <= Dmax < 3l, final_pick emits
         exactly the reference rows, the planted one among them when it
         passes mi_coprime and `_chain_row`.  With Dmax < l (below), a state
-        the search never closes there, fpdim = w*l^2 exceeds the bound and
-        final_pick emits no row.  Q + 2*shift with shift = 1 or 2
+        the search never closes there, the table `kept(l)` is empty, and
+        final_pick returns at it with no row.  Q + 2*shift with shift = 1 or 2
         has no completion, and `final_pick` returns at its root: with g > 2,
         2g does not divide Q - g*s; with g = 1, H = (Q - g*s)/2g grows by
         shift, while a sum of rem odd squares is rem (mod 8)."""
@@ -806,7 +844,9 @@ class TestEngineAgainstOracle:
         for table in golden_tables.values():
             p = table.params
             reference = oracle.oracle_enumerate(replace(p, fpdim_bound=bound))
-            diff = oracle.compare(enumerate_solutions(p), reference, bound)
+            # the only unbounded search compared: it drops its own rows past the bound
+            search = [r for r in enumerate_solutions(p) if r.fpdim <= bound]
+            diff = oracle.compare(search, reference)
             assert diff.empty, (table.table_id, diff.missing, diff.extra)
             checked += len(reference)
         assert checked == 85

@@ -13,7 +13,7 @@ from oddmtc.filters import fixed_dim_multiplicity_filter
 def check_equivalence(params):
     search = enumerate_solutions(params)
     reference = oracle.oracle_enumerate(params)
-    diff = oracle.compare(search, reference, params.fpdim_bound)
+    diff = oracle.compare(search, reference)
     assert diff.empty, (diff.missing, diff.extra)
     return reference
 
@@ -197,11 +197,15 @@ class TestCompare:
     def test_reports_differences(self):
         params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**5)
         rows = oracle.oracle_enumerate(params)
-        diff = oracle.compare(rows[1:], rows, 10**5)
+        diff = oracle.compare(rows[1:], rows)
         assert diff.missing == (rows[0],) and not diff.extra
-        diff = oracle.compare(rows, rows[1:], 10**5)
+        diff = oracle.compare(rows, rows[1:])
         assert diff.extra == (rows[0],) and not diff.missing
-        assert not oracle.compare(rows, rows, 10**5).missing
+        assert oracle.compare(rows, rows).empty
+        # compare filters nothing: a search row past the oracle's bound is extra
+        wider = oracle.oracle_enumerate(replace(params, fpdim_bound=10**6))
+        diff = oracle.compare(wider, rows)
+        assert not diff.missing and diff.extra == tuple(r for r in wider[::-1] if r.fpdim > 10**5)
 
 
 class TestStreamedDiff:
