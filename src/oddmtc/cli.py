@@ -21,32 +21,29 @@ CITE_EMPTY_SEARCH = "rule:no-candidate-dimension-arrays"
 # --------------------------------------------------------------------------
 # emitters
 
-def _sol_record(sol: DimSolution) -> dict:
-    return {
-        "fpdim": sol.fpdim,
-        "invertibles": sol.invertibles,
-        "dims": list(sol.dims),
-        "quotients": list(sol.quotients),
-    }
+def _sol_record(sol: DimSolution, s: int) -> dict:
+    """A row as json; `s` is the invertible count of the layer searched."""
+    return {"fpdim": sol.fpdim, "invertibles": s, "dims": list(sol.dims),
+            "quotients": list(sol.quotients)}
 
 
-def _emit_solutions(sols: list[DimSolution], fmt: str, out) -> None:
+def _emit_solutions(sols: list[DimSolution], s: int, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump([_sol_record(s) for s in sols], out, indent=2)
+        json.dump([_sol_record(sol, s) for sol in sols], out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         k = len(sols[0].dims) if sols else 0
         header = ["fpdim", "s"] + [f"d{i}" for i in range(1, k + 1)]
         out.write(",".join(header) + "\n")
-        for s in sols:
-            out.write(",".join(str(x) for x in (s.fpdim, s.invertibles) + s.dims) + "\n")
+        for sol in sols:
+            out.write(",".join(str(x) for x in (sol.fpdim, s) + sol.dims) + "\n")
     else:
         if not sols:
             out.write("no solutions\n")
             return
         out.write(f"| # | fpdim | dims |\n|---|---|---|\n")
-        for i, s in enumerate(sols, 1):
-            out.write(f"| {i} | {s.fpdim} | {' '.join(str(d) for d in s.dims)} |\n")
+        for i, sol in enumerate(sols, 1):
+            out.write(f"| {i} | {sol.fpdim} | {' '.join(str(d) for d in sol.dims)} |\n")
 
 
 def _emit_gradings(rows: list[dict], fmt: str, out) -> None:
@@ -86,7 +83,8 @@ def _params_from_args(args) -> SearchParams:
 def cmd_dims(args, out) -> int:
     """`dims` and `adjoint-dims`; `--gc` of the latter sets `args.invertibles`."""
     params = _params_from_args(args)
-    _emit_solutions(enumerate_solutions(params, jobs=args.jobs), args.format, out)
+    sols = enumerate_solutions(params, jobs=args.jobs)
+    _emit_solutions(sols, params.layer_invertibles, args.format, out)
     return 0
 
 
@@ -168,7 +166,8 @@ def _run_chain(chain, case: gradings.GradingCase, sols: list[DimSolution], entry
                 break
             if step is chain[-1]:
                 status = "SURVIVING"
-        trail.append({"solution": _sol_record(sol), "status": status, "steps": steps})
+        trail.append({"solution": _sol_record(sol, case.invertibles),
+                      "status": status, "steps": steps})
     for key, status in (("surviving", "SURVIVING"), ("needs_manual", "NEEDS_MANUAL_ANALYSIS")):
         entry[key] = [item["solution"] for item in trail if item["status"] == status]
     entry["filter_trail"] = trail
@@ -220,7 +219,7 @@ def classify(rank: int, jobs: int = 1) -> dict:
             _run_chain(chain, case, sols, entry)
         else:
             entry["status"] = "NEEDS_MANUAL_ANALYSIS"
-            entry["solutions"] = [_sol_record(r) for r in sols]
+            entry["solutions"] = [_sol_record(r, s) for r in sols]
     return report
 
 

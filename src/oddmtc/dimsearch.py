@@ -131,8 +131,8 @@ class SearchParams:
 
 @dataclass(frozen=True, slots=True)
 class DimSolution:
+    """A row is (fpdim, dims); its invertible count is its search's layer_invertibles."""
     fpdim: int
-    invertibles: int
     dims: tuple[int, ...]
 
     @property
@@ -195,9 +195,7 @@ def validate_solution(sol: DimSolution, params: SearchParams) -> None:
     those of nonincreasing dims are nondecreasing.  Each odd d in 3..13 is
     a prime power, so the perfect-layer test also keeps d >= 15.
     """
-    fpdim, dims = sol.fpdim, sol.dims
-    s = params.layer_invertibles
-    require(sol.invertibles == s, "invertible count")
+    fpdim, dims, s = sol.fpdim, sol.dims, params.layer_invertibles
     require(len(dims) == params.k, "number of dual pairs")
     require(fpdim % 2 == 1, "fpdim odd")
     require(fpdim % 8 == params.rank % 8, "fpdim congruent to rank mod 8")
@@ -419,7 +417,7 @@ class _Engine:
         fpdim = self.fpdims.get(D)
         if fpdim is None:
             fpdim = self.fpdims[D] = self.w * D * D
-        self.out.append(DimSolution(fpdim, self.s, dims))
+        self.out.append(DimSolution(fpdim, dims))
 
     def final_pick(self, Q: int, l: int, u: int, path, rem: int) -> None:
         """Close a bounded state with D = l: every later d_j = l/u_j is an odd
@@ -478,16 +476,16 @@ class _Engine:
         top = isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
         # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
         first = max(u, isqrt(2 * gl2 // Q) - 2) | 1
-        if self.Dmax is None:
-            ups = range(first, top + 1, 2)
-        else:
+        if self.Dmax is not None:
             # D is a multiple of lcm(path, u') = l*r: only the u' of `kept` reach a row
             kept = self.kept(l)
             ups = kept[bisect_left(kept, first):bisect_right(kept, top)]
+        elif cop:
+            # mi_coprime constrains the quotient w*u'^2, not u' alone (bounded: in `kept`)
+            ups = [v for v in range(first, top + 1, 2) if w * v * v % cop]
+        else:
+            ups = range(first, top + 1, 2)
         for up in ups:
-            # mi_coprime constrains the quotient w*u'^2, not u' alone
-            if cop and w * up * up % cop == 0:
-                continue
             h = gcd(l, up)
             r = up // h
             m = l // h

@@ -132,7 +132,7 @@ def component_packing_feasible(solution, case) -> FilterVerdict:
     target, r = divmod(solution.fpdim, case.invertibles)
     # two objects per dual pair, and the invertibles as dim 1
     pairs = Counter(solution.dims)
-    objects = pairs + pairs + Counter({1: solution.invertibles})
+    objects = pairs + pairs + Counter({1: case.invertibles})
     sizes = case.component_ranks
     if r:
         detail = "invertible count does not divide fpdim"

@@ -82,15 +82,16 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
     header = next(reader)
     if header[:2] != ["fpdim", "s"]:
         raise GoldenDataError(f"{table_id}: unexpected header {header}")
-    rows = []
+    rows, s = [], params.layer_invertibles
     for record in reader:
         fpdim = int(record[0])
-        s = int(record[1])
         dims = tuple(int(x) for x in record[2:])
+        if int(record[1]) != s:
+            raise GoldenDataError(f"{table_id}: row {fpdim} {dims} has s = {record[1]}, not {s}")
         for d in dims:
             if fpdim % (d * d):
                 raise GoldenDataError(f"{table_id}: {fpdim} not divisible by {d}^2")
-        rows.append(DimSolution(fpdim, s, dims))
+        rows.append(DimSolution(fpdim, dims))
     if len(rows) != entry["rows"]:
         raise GoldenDataError(
             f"{table_id}: expected {entry['rows']} rows, found {len(rows)}"

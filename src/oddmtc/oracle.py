@@ -22,7 +22,7 @@ at each golden table's largest row short enough for tier-1, T3 included.
 holds only the search's rows: each oracle row is checked off them as it
 comes, so at most one fpdim's oracle rows are in memory.  Holding both
 sides' rows took `oracle-check` at (49, 5) up to 10^8 to 1,070 MB of peak
-RSS (Python 3.11); with one side held it peaks at 686 MB, in the search.
+RSS (Python 3.11); with one side held it peaks at 661-666 MB, in the search.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def compare(search_out, oracle_out) -> RowDiff:
 def _pick(divs, idx, need, budget, acc, sols, fpdim, params):
     if need == 0:
         if budget == 0:
-            sol = DimSolution(fpdim, params.layer_invertibles, tuple(acc))
+            sol = DimSolution(fpdim, tuple(acc))
             if _predicates_ok(sol, params):
                 sols.append(sol)
         return

@@ -137,7 +137,7 @@ class TestCriterion8FilterChain:
     def test_chain(self):
         case = GradingCase((19, 3, 3))
         sols = {
-            i: DimSolution(f, 3, d)
+            i: DimSolution(f, d)
             for i, (f, d) in enumerate(T1_ROWS, start=1)
         }
         with timed(10):

@@ -284,6 +284,16 @@ class TestAdjointDims:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[0] for r in rows[1:]] == ["2925", "333"]
 
+    def test_count_is_the_searched_layers(self, capsys):
+        """The rendered count is the adjoint layer's 3, not --gc's 9."""
+        argv = ("adjoint-dims", "--rank", "19", "--gc", "9",
+                "--adjoint-rank", "11", "--adjoint-invertibles", "3", "--format")
+        assert run(capsys, *argv, "csv") == (0, "fpdim,s,d1,d2,d3,d4\n675,3,3,3,3,3\n")
+        code, out = run(capsys, *argv, "json")
+        assert code == 0
+        assert json.loads(out) == [{"fpdim": 675, "invertibles": 3, "dims": [3, 3, 3, 3],
+                                    "quotients": [75, 75, 75, 75]}]
+
     def test_adjoint_rank_exceeds_rank(self, capsys):
         code = cli.main(["adjoint-dims", "--rank", "7", "--gc", "3",
                          "--adjoint-rank", "9", "--adjoint-invertibles", "3"])
@@ -384,8 +394,8 @@ class TestClassify:
         hyp = {(rank, h["invertibles"]): h
                for rank, report in classify_reports.items() for h in report["hypotheses"]}
         trail = [item["solution"] for item in hyp[25, 3]["filter_trail"]]
-        assert trail == [cli._sol_record(r) for r in golden_tables["T1"].rows]
-        assert hyp[41, 5]["solutions"] == [cli._sol_record(r) for r in golden_tables["T3"].rows]
+        assert trail == [cli._sol_record(r, 3) for r in golden_tables["T1"].rows]
+        assert hyp[41, 5]["solutions"] == [cli._sol_record(r, 5) for r in golden_tables["T3"].rows]
 
     def test_rank25_filter_trail_pinned(self, classify_reports):
         (hyp,) = (h for h in classify_reports[25]["hypotheses"] if h["invertibles"] == 3)
@@ -441,7 +451,7 @@ class TestOracleCheck:
         assert bounds == [10 ** 6, 10 ** 6]
 
     def test_mismatch_report(self, capsys, monkeypatch):
-        extra = DimSolution(99999, 3, (3,) * 11)
+        extra = DimSolution(99999, (3,) * 11)
 
         def drop_first_add_extra(params, jobs=1):
             return dimsearch.enumerate_solutions(params, jobs=jobs)[1:] + [extra]

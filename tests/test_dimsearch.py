@@ -31,7 +31,7 @@ RANK27 = SearchParams(rank=27, invertibles=3, min_m1=5)
 # a perfect-layer row that passes every check but the perfect-layer dim:
 # every dim is at least 15, and 27 = 3^3 and 25 = 5^2 are prime powers
 PERFECT_PARAMS = SearchParams(rank=25, invertibles=1)
-PERFECT_ROW = DimSolution(455625, 1, (225, 225, 225, 225, 75, 75, 75, 75, 27, 27, 27, 25))
+PERFECT_ROW = DimSolution(455625, (225, 225, 225, 225, 75, 75, 75, 75, 27, 27, 27, 25))
 # the basic, perfect and two adjoint layers (s = 3, 1, 5, 3; g = 1, 1, 5, 15;
 # dmin = 3, 15, 3, 3); the prime 5 of g = 15 is not in s = 3, so final_node's
 # floor must strip g from Q
@@ -80,7 +80,7 @@ def _chain_row(params: SearchParams, w: int, chain, D: int) -> DimSolution | Non
             or L and (max(counts.values()) < L
                       or any(v % L and c % L for v, c in counts.items()))):
         return None
-    return DimSolution(w * D * D, params.layer_invertibles, dims)
+    return DimSolution(w * D * D, dims)
 
 
 def _children_fractions(eng: _Engine, Q: int, l: int, u: int, rem: int):
@@ -758,9 +758,9 @@ class TestDimSolution:
         row = rank25_solutions[0]
         with pytest.raises(FrozenInstanceError):
             row.fpdim = 1
-        twin = DimSolution(row.fpdim, row.invertibles, tuple(list(row.dims)))
+        twin = DimSolution(row.fpdim, tuple(list(row.dims)))
         assert twin is not row and twin == row and hash(twin) == hash(row)
-        assert twin != replace(row, invertibles=5)
+        assert twin != replace(row, fpdim=row.fpdim + 8)
         assert not hasattr(row, "__dict__")
         back = pickle.loads(pickle.dumps(row))
         assert back == row and hash(back) == hash(row)
@@ -791,10 +791,9 @@ class TestValidateSolution:
         assert len(set(row.dims)) > 1
 
         def layer(dims):
-            return DimSolution(3 + 2 * sum(d * d for d in dims), 3, dims)
+            return DimSolution(3 + 2 * sum(d * d for d in dims), dims)
 
         cases = [
-            (replace(row, invertibles=5), t1.params, "invertible count"),
             (layer(row.dims + (3,)), t1.params, "number of dual pairs"),
             (replace(row, fpdim=row.fpdim + 1), t1.params, "fpdim odd"),
             (replace(row, fpdim=row.fpdim + 2), t1.params, "fpdim congruent to rank mod 8"),

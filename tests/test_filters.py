@@ -18,7 +18,7 @@ RANK25_CASE = GradingCase((19, 3, 3))
 
 def t1_solution(row_number: int) -> DimSolution:
     fpdim, dims = T1_ROWS[row_number - 1]
-    return DimSolution(fpdim, 3, dims)
+    return DimSolution(fpdim, dims)
 
 
 class TestFixedDimMultiplicity:
@@ -34,7 +34,7 @@ class TestFixedDimMultiplicity:
         assert not filters.fixed_dim_multiplicity_filter(t1_solution(34), 3).discard
 
     def test_p_divisible_values_unconstrained(self):
-        sol = DimSolution(99, 1, (3,))
+        sol = DimSolution(99, (3,))
         assert not filters.fixed_dim_multiplicity_filter(sol, 3).discard
 
 
@@ -132,7 +132,7 @@ class TestChainOnTable1:
         # the rule tests the smallest dim 3 does not divide
         for i in (9, 28, 32, 34):
             assert filters.dual_product_rule(t1_solution(i), RANK25_CASE).discard == (i == 9)
-        assert filters.dual_product_rule(DimSolution(81, 3, (3, 9)), RANK25_CASE) is None
+        assert filters.dual_product_rule(DimSolution(81, (3, 9)), RANK25_CASE) is None
 
     def test_row_34_survives_everything(self):
         sol = t1_solution(34)
@@ -153,7 +153,7 @@ class TestOutsideDimUniformity:
         (3**2 * 3 * 5**2, (15, 5), "fpdim/3^2 = 75 is not a perfect square"),
     ])
     def test_fpdim_discards(self, fpdim, dims, detail):
-        verdict = filters.outside_dim_uniformity(DimSolution(fpdim, 3, dims), RANK25_CASE)
+        verdict = filters.outside_dim_uniformity(DimSolution(fpdim, dims), RANK25_CASE)
         assert verdict.discard and verdict.detail == detail
 
     def test_no_verdict_without_an_adjoint(self):
@@ -166,7 +166,7 @@ class TestPacking:
         assert not filters.component_packing_feasible(t1_solution(34), RANK25_CASE).discard
 
     def test_infeasible_by_divisibility(self):
-        sol = DimSolution(25, 1, (3,))
+        sol = DimSolution(25, (3,))
         case = GradingCase((1, 1, 1))
         # 3 does not divide 25
         assert filters.component_packing_feasible(sol, case).discard
@@ -174,14 +174,14 @@ class TestPacking:
     def test_infeasible_by_partition(self):
         # fpdim 75, rank-1 components need a single object of squared dim 25,
         # but the multiset holds only dims 3 and 1
-        sol = DimSolution(75, 3, (3, 3, 3, 3))
+        sol = DimSolution(75, (3, 3, 3, 3))
         case = GradingCase((9, 1, 1))
         assert filters.component_packing_feasible(sol, case).discard
 
     def test_infeasible_after_full_fills(self):
         # fpdim 765 = 5 * 153: rank-9 components of squared sum 153 exist,
         # but no object has squared dim 153, so each full fill is rejected
-        sol = DimSolution(765, 5, (9, 9, 7, 7, 5, 5, 5, 3, 3, 3, 3, 3))
+        sol = DimSolution(765, (9, 9, 7, 7, 5, 5, 5, 3, 3, 3, 3, 3))
         assert filters.component_packing_feasible(sol, GradingCase((9, 9, 9, 1, 1))).discard
 
 
@@ -219,7 +219,7 @@ class TestNumberTheoryFilters:
             filters.forced_pointed(12)
 
     def test_forced_pointed_rule(self):
-        verdict = filters.forced_pointed_rule(DimSolution(3 * 5 * 7, 3, ()), RANK25_CASE)
+        verdict = filters.forced_pointed_rule(DimSolution(3 * 5 * 7, ()), RANK25_CASE)
         assert verdict.discard and verdict.citation == filters.CITE_FORCED_POINTED
         assert verdict.detail == "fpdim 105 forces a pointed category"
         assert filters.forced_pointed_rule(t1_solution(34), RANK25_CASE) is None
@@ -238,9 +238,9 @@ class TestNumberTheoryFilters:
 
     def test_semidirect_model(self):
         assert not filters.semidirect_model(t1_solution(34), RANK25_CASE).discard
-        assert filters.semidirect_model(DimSolution(3**2 * 5**4, 3, ())) is None
-        assert filters.semidirect_model(DimSolution(3 * 5 * 7, 3, ())) is None
-        assert filters.semidirect_model(DimSolution(3**2 * 7**5, 3, ())) is None
+        assert filters.semidirect_model(DimSolution(3**2 * 5**4, ())) is None
+        assert filters.semidirect_model(DimSolution(3 * 5 * 7, ())) is None
+        assert filters.semidirect_model(DimSolution(3**2 * 7**5, ())) is None
 
 
 def one_label_per_rule(verdicts_by_rule: dict) -> dict:

@@ -85,6 +85,8 @@ class TestLoadGoldens:
         # every dim still divides 387, but the row breaks the layer equation
         (b"387,3,3,3,3,3,3,3,3\r\n", b"387,3,3,3,3,3,3,3,1\r\n",
          "T2: row 387 \\(3, 3, 3, 3, 3, 3, 1\\) fails fpdim equation"),
+        # a row holds no invertible count: the loader checks the s column
+        (b"387,3,", b"387,5,", "T2: row 387 \\(3, 3, 3, 3, 3, 3, 3\\) has s = 5, not 3"),
     ])
     def test_tampered_csv_rejected(self, old, new, match):
         """A CSV whose checksum is updated with it still fails the row checks."""
