@@ -19,27 +19,8 @@ with Q*(D/l)^2 = g*(s + 2*sum_{j>i} d_j^2) (g = 1 without the adjoint
 pair), the remaining dimension budget, so every bound is exact integer
 arithmetic.
 
-Every search, bounded or not, is one depth-first search over u-chains per
-m1 branch (`_Engine`) with a single child generator.  The min_run predicate
-rides along as a counter of the trailing run of equal u_i, and one rule
-closes, extends or drops a state once no fresh run fits.
-`_Engine.final_node` ends a batch of chains (a state with two levels left
-passes all its children) whose new u_k fills the last level, or all L of a
-min-run tail, by a scan of the odd u_k that the window of d_k allows;
-nothing is factored there.  With fpdim_bound set, the same search adds
-exact prunes, and `_Engine.final_pick` closes every state whose D must
-equal l by picking the remaining dims among the divisors of l, read from
-the per-l table (`_Engine.kept`) that also caps `children`.  Every close
-builds its rows in one place, `_Engine.emit`, which sets fpdim = w*D^2 and
-d_i = D/u_i and keeps D <= isqrt(bound // w), exactly fpdim <= bound; each
-close picks its last dim >= dmin itself (see `_Engine`).  The oracle checks
-the bounded search (`tests/test_oracle.py`, Criterion 9).  Past its bound,
-three steps rest on proof alone: tests plant completions through
-`children`' `top` and `first` at rem = 2 only
-(`test_planted_two_level_batch`) and none through the min-run rule's drops
-or the state cut; `TestFinalPick` plants the D = l close, and `TestNextLevel`
-checks the per-l table through `children` against lcm(l, u') <= Dmax, and
-through `children` and `final_pick` at one l, in either order.
+`_Engine`, one depth-first search over the u-chains of each m1 branch,
+states every close and the proof of each bound.
 """
 
 from __future__ import annotations
@@ -269,9 +250,9 @@ class _Engine:
       isqrt(N // Q) + 1, made odd, otherwise: isqrt(N // Q) >= m exactly
       when N >= Q*m^2.
     A state returns when `first` has X*lo2 > T, which is exactly first > top
-    and saves the division and the isqrt for top: more than 99 % of the
-    states of the T1, T5 and T8 searches return there.  Otherwise each u_k in
-    range needs X | T and T/X = d^2 a square, and then d^2 >= lo2 >= dmin^2.
+    and saves the division and the isqrt for top, where most states return.
+    Otherwise each u_k in range needs X | T and T/X = d^2 a square, and then
+    d^2 >= lo2 >= dmin^2.
     As s/d^2 is small next to 2n, u_k sits near l*sqrt(2n*g/Q): most states
     scan nothing.
 
@@ -290,23 +271,19 @@ class _Engine:
 
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
-    four exact steps.  "The sweep" below is the 57 (rank, s) pairs of the
-    oracle sweep at bound 10^6; its searches take 0.33-0.36 s of CPU with
-    all four (Python 3.11.7, 2 cores, each figure from 9-18 runs):
+    four exact steps:
     * the state cut, g*(s + 2*rem*dmin^2)*l^2 > Q*Dmax^2, once per popped
-      state: the sweep's searches take 0.41-0.46 s without it.  A state that
-      passes has `top` <= Dmax // dmin, and a child it would cut is cut when
-      popped.  The children of a rem = 2 state are not popped: they close in
-      `final_node`, exact for any state, past the cut and the D = l close
-      (the sweep's searches cost the same as when they were popped).
+      state.  A state that passes has `top` <= Dmax // dmin, and a child it
+      would cut is cut when popped.  The children of a rem = 2 state are not
+      popped: they close in `final_node`, exact for any state, past the cut
+      and the D = l close.
     * the D = l close: D is an odd multiple of l, so Dmax < 3l gives D = l,
       and `final_pick` closes the state (rem >= 1) with no child scan.  Each
       later d_j = l/u_j is an odd divisor of l in [dmin, l/u], and their
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
-      need*(smallest d)^2 <= budget <= need*(next d)^2 before each call.
+      need*(smallest d)^2 <= budget <= need*(next d)^2 before each step.
       With Dmax // l < 3, `kept(l)` below is the odd divisors v of l, and
       `final_pick` bisects it to [u, l // dmin] and reads each d as l // v.
-      The sweep's searches take 0.66-0.71 s without it.
     * the lcm cap, the only bounded step in `children`, which sees only
       Dmax // l >= 3: D is a multiple of l' = l*r with h = gcd(l, u') and
       r = u'/h, so only a u' with r <= Dmax // l can lead to a row.  It is a
@@ -314,18 +291,11 @@ class _Engine:
       `kept` lists those u' once per l, ascending, less those mi_coprime
       rules out: u' = h*r with h | l, r <= Dmax // l odd and
       gcd(l/h, r) = 1, one form per u'.  `children` bisects the list to
-      [first, top]: over the sweep, 179,874 of its entries stand in for the
-      1,095,822 odd u' in those ranges, and with `final_pick`'s l the
-      engines build 1,515 lists of 50,674 entries in all.  Without the cap,
-      with every odd u' in range a child, the sweep's searches take
-      0.84-0.92 s: `final_pick` then closes 712,332 states instead of
-      36,531, 675,801 of them with l > Dmax, where `kept(l)` is empty.
+      [first, top].
     * `emit` drops D > Dmax, which is exactly fpdim > bound: that test
       defines the bound, and it is the only bound test on any row.
-    The floor `a` puts on d in `final_node` serves every search: with
-    lo2 = dmin^2 alone, the searches of T1-T4, T6 and T7 take 1.6-1.7 s
-    instead of 0.10 s, T8 2.4-2.6 s instead of 0.31-0.36 s, and T5
-    2.7-2.8 s instead of 0.17-0.19 s (Python 3.11, 2 cores, 3 runs each).
+    The floor `a` puts on d in `final_node` serves every search: a lo2
+    above dmin^2 returns more states at the first test and lowers `top`.
     """
 
     def __init__(self, params: SearchParams, w: int):
@@ -438,14 +408,17 @@ class _Engine:
             return
         low2 = (l // vs[last]) ** 2
         tails = []
-
-        def pick(i, need, budget, dims):
-            # on entry need*low2 <= budget <= need*(l // vs[i])^2
+        # a loop over an explicit stack: a nested function that called itself
+        # would leave a reference cycle, holding `tails`, at every close
+        stack = [(first, rem, H, ())]
+        while stack:
+            # need*low2 <= budget <= need*(l // vs[i])^2
+            i, need, budget, dims = stack.pop()
             d = l // vs[i]
             if i == last:
                 # budget == need*d^2: the last divisor fills every level
                 tails.append(dims + (d,) * need)
-                return
+                continue
             d2 = d * d
             next2 = (l // vs[i + 1]) ** 2
             for take in range(min(need, budget // d2), -1, -1):
@@ -455,11 +428,9 @@ class _Engine:
                 if b < n * low2:
                     continue
                 if n:
-                    pick(i + 1, n, b, dims + (d,) * take)
+                    stack.append((i + 1, n, b, dims + (d,) * take))
                 else:
                     tails.append(dims + (d,) * take)
-
-        pick(first, rem, H, ())
         if tails:
             # most closes pick nothing; the rows of one close share its path's dims
             prefix = tuple(l // v for v in path)

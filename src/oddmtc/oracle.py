@@ -20,9 +20,7 @@ at each golden table's largest row short enough for tier-1, T3 included.
 
 `oracle_rows` yields the rows fpdim by fpdim, ascending, and `compare`
 holds only the search's rows: each oracle row is checked off them as it
-comes, so at most one fpdim's oracle rows are in memory.  Holding both
-sides' rows took `oracle-check` at (49, 5) up to 10^8 to 1,070 MB of peak
-RSS (Python 3.11); with one side held it peaks at 661-666 MB, in the search.
+comes, so at most one fpdim's oracle rows are in memory.
 """
 
 from __future__ import annotations

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from oddmtc import cli, goldens
 from oddmtc.dimsearch import SearchParams, _Engine, enumerate_solutions
+
+# tier-1 draws the same examples on every run, and keeps no example database;
+# `--hypothesis-profile=random` (with `--hypothesis-seed`) draws fresh ones
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

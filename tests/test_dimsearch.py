@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import os
 import pickle
@@ -608,6 +609,17 @@ class TestFinalPick:
         if (row is not None and not shift
                 and not (cop and any(w * v * v % cop == 0 for v in planted))):
             assert row in got
+
+    def test_leaves_no_cycle(self):
+        """A bounded search, whose closes run through `final_pick`, leaves
+        nothing for the cyclic collector to free."""
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_solutions(SearchParams(rank=25, invertibles=3, fpdim_bound=10**6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestState:

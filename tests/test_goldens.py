@@ -107,10 +107,3 @@ class TestLoadGoldens:
         monkeypatch.setattr(goldens, "TABLE_IDS", goldens.TABLE_IDS + ("T9",))
         with pytest.raises(goldens.GoldenDataError, match="manifest missing T9"):
             goldens.load_goldens()
-
-
-class TestVerify:
-    @pytest.mark.parametrize("table_id", ["T2", "T4", "T6"])
-    def test_fast_tables_match(self, golden_tables, table_id):
-        diff = goldens.verify(golden_tables[table_id])
-        assert diff.empty

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oddmtc import oracle
 from oddmtc.dimsearch import (DimSolution, SearchParams, canonical, diff_rows,
-                               enumerate_solutions, validate_solution)
+                               enumerate_solutions)
 from oddmtc.exactmath import squarefree_split
 from oddmtc.filters import fixed_dim_multiplicity_filter
 
@@ -19,10 +19,6 @@ def check_equivalence(params):
 
 
 class TestOracleEnumerate:
-    def test_matches_search_rank25(self):
-        rows = check_equivalence(SearchParams(rank=25, invertibles=3, fpdim_bound=10**6))
-        assert len(rows) == 16  # the rank-25 arrays with fpdim below 1e6
-
     def test_matches_search_adjoint(self):
         params = SearchParams(rank=45, invertibles=3,
                               adjoint_rank=15, adjoint_invertibles=3, fpdim_bound=10**5)
@@ -89,11 +85,6 @@ class TestOracleEnumerate:
         bound = 4 * 10 ** 6
         params = SearchParams(rank=rank, invertibles=s, fpdim_bound=bound)
         assert len(check_equivalence(params)) == size
-
-    def test_rows_validate(self):
-        params = SearchParams(rank=25, invertibles=3, fpdim_bound=10**6)
-        for row in oracle.oracle_enumerate(params):
-            validate_solution(row, params)
 
     # `oracle_rows` raises when called, before the first row is asked for
     def test_bound_below_invertibles_rejected(self):
