@@ -25,9 +25,12 @@ states every close and the proof of each bound.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, isqrt
 from multiprocessing import Pool
 from operator import attrgetter
@@ -131,9 +134,29 @@ class DimSolution:
 def canonical(rows) -> list[DimSolution]:
     """Rows in canonical order: fpdim descending, then dims descending.
 
-    The rows of one search are duplicate-free and all have k dims, so this
-    is the order of `DimSolution.sort_key`, without a copy of any row."""
-    return sorted(rows, key=attrgetter("fpdim", "dims"), reverse=True)
+    Two stable passes, by dims and then by fpdim, each keyed by an attribute
+    the row already holds, so no (fpdim, dims) key tuple is built per row; a
+    reverse sort keeps equal keys in their order, so the second pass keeps
+    the first one's order within each fpdim.  The rows of one search all
+    have k dims, so this is the order of `DimSolution.sort_key`, without a
+    copy of any row, and equal rows end up next to each other."""
+    out = sorted(rows, key=attrgetter("dims"), reverse=True)
+    out.sort(key=attrgetter("fpdim"), reverse=True)
+    return out
+
+
+@contextmanager
+def _collector_paused():
+    """Pause Python's cyclic collector and restore its state on the way out,
+    a raise included.  The search and the row comparison make many objects
+    and no reference cycle, so a collection there finds nothing to free."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -154,14 +177,16 @@ def diff_rows(want, got) -> RowDiff:
     not found there, a second copy included, is missing; whatever is left
     held is extra.  Holding one side keeps `oracle-check`'s peak memory to
     one side's rows.  Missing and extra are each ascending by (fpdim, dims).
+    The cyclic collector is paused meanwhile (`_collector_paused`).
     """
-    held = set(got)
-    missing = []
-    for row in want:
-        try:
-            held.remove(row)
-        except KeyError:
-            missing.append(row)
+    with _collector_paused():
+        held = set(got)
+        missing = []
+        for row in want:
+            try:
+                held.remove(row)
+            except KeyError:
+                missing.append(row)
     order = attrgetter("fpdim", "dims")
     return RowDiff(tuple(sorted(missing, key=order)), tuple(sorted(held, key=order)))
 
@@ -283,7 +308,10 @@ class _Engine:
       squares sum to exactly H = (Q - g*s)/2g; the pick tests
       need*(smallest d)^2 <= budget <= need*(next d)^2 before each step.
       With Dmax // l < 3, `kept(l)` below is the odd divisors v of l, and
-      `final_pick` bisects it to [u, l // dmin] and reads each d as l // v.
+      `final_pick` bisects it to [u, l // dmin].  It reads each d = l // v,
+      the path's dims included, from `l_dims[l]`, the list of those dims
+      built beside `kept(l)` at its first pick of l, so the rows closed at
+      one l share their dim int objects, with no per-dim lookup in `emit`.
     * the lcm cap, the only bounded step in `children`, which sees only
       Dmax // l >= 3: D is a multiple of l' = l*r with h = gcd(l, u') and
       r = u'/h, so only a u' with r <= Dmax // l can lead to a row.  It is a
@@ -312,6 +340,7 @@ class _Engine:
         self.Dmax = None if bound is None else isqrt(bound // w)
         self.out: list[DimSolution] = []
         self.l_kept: dict[int, list[int]] = {}
+        self.l_dims: dict[int, list[int]] = {}
         self.fpdims: dict[int, int] = {}
 
     def final_node(self, prefix, states, levels: int) -> None:
@@ -396,31 +425,35 @@ class _Engine:
         H = rem (mod 8).  Picks each nonincreasing run of rem of them,
         a divisor and its count at a time, largest divisor first, and passes
         `emit` each whole row: the path's dims l/u_j, then the picked ones.
-        It runs at Dmax // l < 3, where `kept(l)` is l's odd divisors."""
+        It runs at Dmax // l < 3, where `kept(l)` is l's odd divisors, and
+        reads each dim from `l_dims[l]`, the dims l // v of `kept(l)`."""
         g = self.g
         H, odd = divmod(Q - g * self.s, 2 * g)
         if odd or (H - rem) % 8 or H < rem * self.dmin2:
             return
         vs = self.kept(l)
+        ds = self.l_dims.get(l)
+        if ds is None:
+            ds = self.l_dims[l] = [l // v for v in vs]
         first = bisect_left(vs, u)
         last = bisect_right(vs, l // self.dmin) - 1
-        if first > last or not rem * (l // vs[last]) ** 2 <= H <= rem * (l // vs[first]) ** 2:
+        if first > last or not rem * ds[last] ** 2 <= H <= rem * ds[first] ** 2:
             return
-        low2 = (l // vs[last]) ** 2
+        low2 = ds[last] ** 2
         tails = []
         # a loop over an explicit stack: a nested function that called itself
         # would leave a reference cycle, holding `tails`, at every close
         stack = [(first, rem, H, ())]
         while stack:
-            # need*low2 <= budget <= need*(l // vs[i])^2
+            # need*low2 <= budget <= need*ds[i]^2
             i, need, budget, dims = stack.pop()
-            d = l // vs[i]
+            d = ds[i]
             if i == last:
                 # budget == need*d^2: the last divisor fills every level
                 tails.append(dims + (d,) * need)
                 continue
             d2 = d * d
-            next2 = (l // vs[i + 1]) ** 2
+            next2 = ds[i + 1] ** 2
             for take in range(min(need, budget // d2), -1, -1):
                 b, n = budget - take * d2, need - take
                 if b > n * next2:
@@ -432,8 +465,11 @@ class _Engine:
                 else:
                     tails.append(dims + (d,) * take)
         if tails:
-            # most closes pick nothing; the rows of one close share its path's dims
-            prefix = tuple(l // v for v in path)
+            # most closes pick nothing.  The path's dims come from `ds` too:
+            # each v <= u has its place j <= first in `vs`, but `final_pick`
+            # does not need v itself there (mi_coprime may rule it out)
+            prefix = tuple(ds[j] if vs[j] == v else l // v
+                           for v in path for j in (bisect_left(vs, v),))
             for tail in tails:
                 self.emit(l, (), prefix + tail)
 
@@ -533,17 +569,25 @@ def _search_branch(args) -> list[DimSolution]:
 
 
 def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution]:
-    """Complete, duplicate-free, canonically ordered list of solutions."""
+    """Complete, duplicate-free, canonically ordered list of solutions.
+
+    Every row passes `validate_solution`.  `canonical` puts equal rows next
+    to each other, so the duplicate check compares neighbours and holds no
+    set of the rows.  The cyclic collector is paused meanwhile
+    (`_collector_paused`): the engine makes no reference cycle."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
     m1s = m1_candidates(params)
-    if jobs > 1 and len(m1s) > 1:
-        with Pool(min(jobs, len(m1s))) as pool:
-            chunks = pool.map(_search_branch, [(params, m1) for m1 in m1s], chunksize=1)
-    else:
-        chunks = [_search_branch((params, m1)) for m1 in m1s]
-    out = [sol for chunk in chunks for sol in chunk]
-    require(len(set(out)) == len(out), "duplicate solutions")
-    for sol in out:
-        validate_solution(sol, params)
-    return canonical(out)
+    with _collector_paused():
+        if jobs > 1 and len(m1s) > 1:
+            with Pool(min(jobs, len(m1s))) as pool:
+                chunks = pool.map(_search_branch, [(params, m1) for m1 in m1s], chunksize=1)
+        else:
+            # one branch's rows at a time, each list dropped once copied
+            chunks = map(_search_branch, [(params, m1) for m1 in m1s])
+        out = canonical(sol for chunk in chunks for sol in chunk)
+        for sol in out:
+            validate_solution(sol, params)
+        require(not any(a.fpdim == b.fpdim and a.dims == b.dims
+                        for a, b in zip(out, islice(out, 1, None))), "duplicate solutions")
+    return out

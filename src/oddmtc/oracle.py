@@ -18,9 +18,11 @@ it tests the predicates on m_1 = fpdim / d_1^2 there, and `_predicates_ok`
 tests every predicate again on each full row.  That keeps the oracle run
 at each golden table's largest row short enough for tier-1, T3 included.
 
-`oracle_rows` yields the rows fpdim by fpdim, ascending, and `compare`
-holds only the search's rows: each oracle row is checked off them as it
-comes, so at most one fpdim's oracle rows are in memory.
+`oracle_rows` yields the rows one at a time, fpdim ascending: `_pick` walks
+an explicit stack and yields each row as it completes it, and `compare`
+holds only the search's rows, checking each oracle row off them as it comes.
+So no more than the row in hand and `_pick`'s stack of partial rows is held
+on the oracle's side.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def oracle_enumerate(params: SearchParams) -> list[DimSolution]:
 
 
 def oracle_rows(params: SearchParams) -> Iterator[DimSolution]:
-    """The rows of `oracle_enumerate` as a stream, fpdim ascending, solved
-    one fpdim at a time.  The bound is checked here, when called."""
+    """The rows of `oracle_enumerate` as a stream, fpdim ascending, each
+    yielded as `_pick` completes it.  The bound is checked here, when called."""
     if params.fpdim_bound is None:
         raise ValueError("the oracle needs an fpdim bound")
     if params.fpdim_bound < params.invertibles:
@@ -76,31 +78,29 @@ def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
-def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> list[DimSolution]:
+def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> Iterator[DimSolution]:
     g, k, dmin, perfect = params.group_order, params.k, params.dmin, params.perfect
     if fpdim % g != 0:
-        return []
+        return
     target = fpdim // g - params.layer_invertibles
     if target < 2 * k * dmin * dmin or target % 2 != 0:
-        return []
+        return
     half = target // 2  # sum of k squared dims
     # every dim is odd, so d^2 = 1 (mod 8) and half = k (mod 8)
     if (half - k) % 8:
-        return []
+        return
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part;
     # root^2 divides fpdim, and root_part(root^2 * j) = root * root_part(j)
     root_part = root * squarefree_split(fpdim // (root * root))[0]
     # _pick's own first cut: no d exceeds root_part
     if k * root_part * root_part < half:
-        return []
+        return
     divisors = [
         d
         for d in _odd_divisors_at_least(root_part, dmin)
         if (fpdim // (d * d)) % 2 == 1 and not (perfect and is_prime_power(d))
     ]
-    sols: list[DimSolution] = []
-    _pick(divisors, 0, k, half, [], sols, fpdim, params)
-    return sols
+    yield from _pick(divisors, k, half, fpdim, params)
 
 
 def compare(search_out, oracle_out) -> RowDiff:
@@ -110,36 +110,40 @@ def compare(search_out, oracle_out) -> RowDiff:
     return diff_rows(oracle_out, search_out)
 
 
-def _pick(divs, idx, need, budget, acc, sols, fpdim, params):
-    if need == 0:
-        if budget == 0:
-            sol = DimSolution(fpdim, tuple(acc))
-            if _predicates_ok(sol, params):
-                sols.append(sol)
-        return
-    if idx == len(divs):
-        return
-    d = divs[idx]
-    d2 = d * d
-    lo2 = divs[-1] ** 2
-    if budget < need * lo2 or budget > need * d2:
-        return
-    # the same bounds for the next call, tested before making it; past the
-    # last divisor only need = budget = 0 is left
-    next2 = divs[idx + 1] ** 2 if idx + 1 < len(divs) else 0
-    # divisors come largest first, so with acc empty a take > 0 makes d the
-    # row's d_1: take none when m_1 = fpdim / d^2 fails its predicates
-    most = min(need, budget // d2) if acc or _m1_ok(fpdim // d2, params) else 0
-    for take in range(most, -1, -1):
-        rest, left = budget - take * d2, need - take
-        if rest > left * next2:
-            break
-        if rest < left * lo2:
+def _pick(divs, need, budget, fpdim, params) -> Iterator[DimSolution]:
+    """Each row of `need` dims from `divs` (descending) whose squares sum to
+    `budget` and that passes `_predicates_ok`, yielded as it is completed.
+    A stack entry (idx, need, budget, acc) has taken the dims `acc` from
+    divs[:idx]; a loop over the stack holds no generator per level."""
+    lo2 = divs[-1] ** 2 if divs else 0
+    stack = [(0, need, budget, ())]
+    while stack:
+        idx, need, budget, acc = stack.pop()
+        if need == 0:
+            if budget == 0:
+                sol = DimSolution(fpdim, acc)
+                if _predicates_ok(sol, params):
+                    yield sol
             continue
-        acc.extend([d] * take)
-        _pick(divs, idx + 1, left, rest, acc, sols, fpdim, params)
-        if take:
-            del acc[-take:]
+        if idx == len(divs):
+            continue
+        d = divs[idx]
+        d2 = d * d
+        if budget < need * lo2 or budget > need * d2:
+            continue
+        # the same bounds for the next entry, tested before pushing it; past
+        # the last divisor only need = budget = 0 is left
+        next2 = divs[idx + 1] ** 2 if idx + 1 < len(divs) else 0
+        # divisors come largest first, so with acc empty a take > 0 makes d the
+        # row's d_1: take none when m_1 = fpdim / d^2 fails its predicates
+        most = min(need, budget // d2) if acc or _m1_ok(fpdim // d2, params) else 0
+        for take in range(most, -1, -1):
+            rest, left = budget - take * d2, need - take
+            if rest > left * next2:
+                break
+            if rest < left * lo2:
+                continue
+            stack.append((idx + 1, left, rest, acc + (d,) * take))
 
 
 def _m1_ok(m: int, params: SearchParams) -> bool:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -435,6 +436,21 @@ class TestOracleCheck:
                         "--fpdim-bound", "100000")
         assert code == 0
         assert "match" in out
+
+    def test_leaves_no_cycle(self, capsys, monkeypatch):
+        """With the collector off, a whole `oracle-check` (search, oracle
+        stream and diff) leaves nothing for it to free.  The parser is built
+        first: argparse's own objects form cycles."""
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        gc.collect()
+        gc.disable()
+        try:
+            code, out = run(capsys, "oracle-check", "--rank", "25", "--invertibles", "3")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (code, out) == (0, "match: 16 solutions with fpdim <= 1000000\n")
 
     def test_default_bound_reaches_search(self, capsys, monkeypatch):
         bounds = []

@@ -610,6 +610,28 @@ class TestFinalPick:
                 and not (cop and any(w * v * v % cop == 0 for v in planted))):
             assert row in got
 
+    def test_rows_share_dims(self, engine_probe):
+        """The rows closed at one l read every dim, the path's included, from
+        that l's table `l_dims[l]`, so each dim value above 256 (CPython
+        shares the smaller ones anyway) is one int object among them.  The
+        m1 = 9 branch of (49, 5) up to 10^6 makes most of that search's rows
+        in `final_pick`."""
+        params = SearchParams(rank=49, invertibles=5, fpdim_bound=10**6)
+        by_l = {}
+
+        def collect(method, eng, args, rows):
+            if method == "final_pick":
+                by_l.setdefault(args[1], []).extend(rows)
+
+        engine_probe.on_close = collect
+        dimsearch._search_branch((params, 9))
+        shared = 0
+        for rows in by_l.values():
+            big = [d for row in rows for d in row.dims if d > 256]
+            assert len({id(d) for d in big}) == len(set(big))
+            shared += len(big) - len(set(big))
+        assert shared > 1000
+
     def test_leaves_no_cycle(self):
         """A bounded search, whose closes run through `final_pick`, leaves
         nothing for the cyclic collector to free."""
@@ -729,6 +751,23 @@ class TestEnumerateSolutions:
         with pytest.raises(InvariantError, match="duplicate solutions"):
             enumerate_solutions(RANK27)
 
+    def test_duplicate_across_branches_rejected(self, monkeypatch):
+        """A row of one m1 branch that another branch also returns fails the
+        duplicate check, which compares neighbours in the canonical order:
+        (33, 3) up to 10^6 has rows in the m1 = 9 and 17 branches only."""
+        params = SearchParams(rank=33, invertibles=3, fpdim_bound=10**6)
+        search_branch = dimsearch._search_branch
+        stray = search_branch((params, 17))[0]
+
+        def with_stray(args):
+            rows = search_branch(args)
+            return [stray] + rows if args[1] == 9 else rows
+
+        monkeypatch.setattr(dimsearch, "_search_branch", with_stray)
+        assert len(search_branch((params, 9))) > 1
+        with pytest.raises(InvariantError, match="duplicate solutions"):
+            enumerate_solutions(params)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError):
@@ -776,6 +815,72 @@ class TestDimSolution:
         assert not hasattr(row, "__dict__")
         back = pickle.loads(pickle.dumps(row))
         assert back == row and hash(back) == hash(row)
+
+
+class TestCanonical:
+    @given(k=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sort_key_order(self, k, data):
+        """The two stable passes give the order of `DimSolution.sort_key` on
+        rows of one length, many of them sharing an fpdim."""
+        dims = st.lists(st.integers(3, 9), min_size=k, max_size=k).map(tuple)
+        rows = data.draw(st.lists(st.builds(DimSolution, st.integers(1, 4), dims),
+                                  max_size=30))
+        assert canonical(iter(rows)) == sorted(rows, key=DimSolution.sort_key)
+
+
+class TestCollectorPause:
+    """`enumerate_solutions` and `diff_rows` run with the cyclic collector
+    off and leave it as they found it, on a return and on a raise."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_enumerate_solutions(self, collector, monkeypatch):
+        seen = []
+        real = dimsearch.validate_solution
+
+        def spy(sol, params):
+            seen.append(gc.isenabled())
+            real(sol, params)
+
+        monkeypatch.setattr(dimsearch, "validate_solution", spy)
+        assert enumerate_solutions(RANK27)
+        assert seen == [False] and gc.isenabled() is collector
+
+    def test_enumerate_solutions_raising(self, collector, monkeypatch):
+        def refuse(sol, params):
+            raise InvariantError("refused")
+
+        monkeypatch.setattr(dimsearch, "validate_solution", refuse)
+        with pytest.raises(InvariantError, match="refused"):
+            enumerate_solutions(RANK27)
+        assert gc.isenabled() is collector
+        monkeypatch.undo()
+        search_branch = dimsearch._search_branch
+        monkeypatch.setattr(dimsearch, "_search_branch", lambda args: search_branch(args) * 2)
+        with pytest.raises(InvariantError, match="duplicate solutions"):
+            enumerate_solutions(RANK27)
+        assert gc.isenabled() is collector
+
+    def test_diff_rows(self, collector):
+        row = DimSolution(33, (3, 3))
+        seen = []
+
+        def stream():
+            seen.append(gc.isenabled())
+            yield row
+            raise RuntimeError("stream broke")
+
+        assert diff_rows([row], [row]).empty
+        assert gc.isenabled() is collector
+        with pytest.raises(RuntimeError, match="stream broke"):
+            diff_rows(stream(), [row])
+        assert seen == [False] and gc.isenabled() is collector
 
 
 class TestDiffRows:

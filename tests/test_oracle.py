@@ -171,12 +171,12 @@ class TestSolveFpdimFirstCut:
                 half = (layer - s) // 2
                 divisors = [d for d in oracle._odd_divisors_at_least(root_part, floor)
                             if (fpdim // (d * d)) % 2 == 1]
-                oracle._pick(divisors, 0, k, half, [], want, fpdim, params)
+                want = list(oracle._pick(divisors, k, half, fpdim, params))
                 mod8_cut += ((half - k) % 8 != 0 and half >= k * floor * floor
                              and k * root_part * root_part >= half)
             # every odd R with R^2 | fpdim gives the same root part
             for root in oracle._odd_divisors_at_least(root_part, 1):
-                got = oracle._solve_fpdim(fpdim, root, params)
+                got = list(oracle._solve_fpdim(fpdim, root, params))
                 assert got == want, (fpdim, root)
             rows.extend(want)
         assert rows and mod8_cut
@@ -222,6 +222,28 @@ class TestStreamedDiff:
         row, other = DimSolution(33, (3, 3)), DimSolution(41, (5,))
         diff = diff_rows(iter([row, other, row]), [row, other])
         assert diff.missing == (row,) and not diff.extra
+
+    def test_oracle_rows_stream_one_row_at_a_time(self, monkeypatch):
+        """Fpdim 893,025 holds 10,980 of the 13,187 rows of (49, 5) up to
+        10^6; its first rows come out of `oracle_rows` when only a few of
+        its rows are built, not all of them."""
+        built = []
+
+        def counted(fpdim, dims):
+            built.append(fpdim)
+            return DimSolution(fpdim, dims)
+
+        monkeypatch.setattr(oracle, "DimSolution", counted)
+        stream = oracle.oracle_rows(SearchParams(rank=49, invertibles=5, fpdim_bound=10**6))
+        before = 0
+        for row in stream:
+            if row.fpdim == 893025:
+                break
+            before = len(built)
+        taken = [row] + [next(stream) for _ in range(9)]
+        assert {row.fpdim for row in taken} == {893025}
+        assert len(built) - before < 100
+        assert len(taken) + sum(row.fpdim == 893025 for row in stream) == 10980
 
     @pytest.mark.parametrize("params", [
         SearchParams(rank=25, invertibles=3, fpdim_bound=10**6),
