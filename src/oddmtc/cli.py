@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from io import StringIO
@@ -327,7 +328,10 @@ def _add_common(sub, formats=()) -> None:
     sub.add_argument("--out", metavar="PATH")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parser's objects form reference cycles, which
+    a new parser per `main` call would leave to the collector."""
     parser = argparse.ArgumentParser(
         prog="oddmtc",
         description="Candidate dimension arrays and case analysis for "

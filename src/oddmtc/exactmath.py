@@ -8,7 +8,6 @@ No floating point is used anywhere; all results are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class InvariantError(AssertionError):
@@ -23,19 +22,6 @@ def require(ok: bool, what: str) -> None:
         raise InvariantError(what)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as a sorted tuple of (prime, exponent) pairs."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.factors]
-        require(primes == sorted(primes) and len(set(primes)) == len(primes),
-                "primes strictly increasing")
-        require(all(e >= 1 for _, e in self.factors), "exponents positive")
-
-
 def isqrt_exact(n: int) -> tuple[int, bool]:
     """Return (floor(sqrt(n)), whether n is a perfect square)."""
     if n < 0:
@@ -44,35 +30,28 @@ def isqrt_exact(n: int) -> tuple[int, bool]:
     return r, r * r == n
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer by trial division into (prime, exponent)
+    pairs, primes ascending."""
     if n < 1:
         raise ValueError("input must be positive")
     factors = []
-    for p in _trial_primes(n):
-        if p * p > n:
-            break
+    e = (n & -n).bit_length() - 1  # the exponent of 2
+    if e:
+        factors.append((2, e))
+        n >>= e
+    p = 3
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             factors.append((p, e))
+        p += 2
     if n > 1:
         factors.append((n, 1))
-    return Factorization(tuple(factors))
-
-
-def _trial_primes(n: int):
-    yield 2
-    yield 3
-    p = 5
-    while p * p <= n:
-        yield p
-        yield p + 2
-        p += 6
-    # One more candidate so the p*p > n break in factorize fires.
-    yield p
+    return tuple(factors)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -81,7 +60,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
         raise ValueError("input must be positive")
     u = 1
     w = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         u *= p ** (e // 2)
         if e % 2:
             w *= p
@@ -92,11 +71,10 @@ def is_prime_power(n: int) -> bool:
     """True iff n = p**k for a single prime p with k >= 1 (1 is not)."""
     if n < 1:
         raise ValueError("input must be positive")
-    return len(factorize(n).factors) == 1
+    return len(factorize(n)) == 1
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    f = factorize(n).factors
-    return len(f) == 1 and f[0][1] == 1
+    return factorize(n) == ((n, 1),)

@@ -202,7 +202,7 @@ def forced_pointed(fpdim: int) -> bool:
     and k <= 4 (k = 0, i.e. squarefree fpdim, included)."""
     if fpdim % 2 == 0:
         raise ValueError("fpdim must be odd")
-    heavy = [e for _, e in factorize(fpdim).factors if e >= 2]
+    heavy = [e for _, e in factorize(fpdim) if e >= 2]
     return len(heavy) <= 1 and all(e <= 4 for e in heavy)
 
 
@@ -230,7 +230,7 @@ def semidirect_model(solution, case=None) -> FilterVerdict | None:
     solution; None (no verdict) when fpdim has another shape or neither
     reading does."""
     candidates = []
-    fac = factorize(solution.fpdim).factors
+    fac = factorize(solution.fpdim)
     if len(fac) == 2:
         (p, ep), (q, eq) = fac
         if ep == 2 and eq <= 4:

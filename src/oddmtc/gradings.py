@@ -91,7 +91,7 @@ def filter_min_three_components(case: GradingCase) -> FilterVerdict | None:
     verdict) with one invertible."""
     if case.invertibles == 1:
         return None
-    primes = [p for p, _ in factorize(case.invertibles).factors]
+    primes = [p for p, _ in factorize(case.invertibles)]
     found = any(sum(1 for r in case.component_ranks if r >= p) >= 3 for p in primes)
     detail = None if found else (
         "no prime divisor of the invertible count has 3 components of rank >= p")

@@ -210,4 +210,4 @@ class TestCriterion10InvariantSuite:
             u, w = squarefree_split(n % 10**6 + 1)
             m = n % 10**6 + 1
             assert u * u * w == m
-            assert all(e == 1 for _, e in factorize(w).factors)
+            assert all(e == 1 for _, e in factorize(w))

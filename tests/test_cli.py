@@ -437,12 +437,11 @@ class TestOracleCheck:
         assert code == 0
         assert "match" in out
 
-    def test_leaves_no_cycle(self, capsys, monkeypatch):
+    def test_leaves_no_cycle(self, capsys):
         """With the collector off, a whole `oracle-check` (search, oracle
         stream and diff) leaves nothing for it to free.  The parser is built
         first: argparse's own objects form cycles."""
-        parser = cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        cli.build_parser()
         gc.collect()
         gc.disable()
         try:
@@ -503,6 +502,21 @@ class TestOracleCheck:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+
+def test_second_main_leaves_no_cycle(capsys):
+    """`main` builds one parser per process, so with the collector off a
+    second call leaves nothing for it to free."""
+    argv = ["gradings", "--rank", "19", "--invertibles", "3"]
+    first = run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        second = run(capsys, *argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert second == first
 
 
 @pytest.mark.parametrize("argv", [

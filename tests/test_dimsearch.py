@@ -77,7 +77,7 @@ def _chain_row(params: SearchParams, w: int, chain, D: int) -> DimSolution | Non
     counts, L = Counter(dims), params.min_run
     if (any(d < params.dmin or d % 2 == 0 for d in dims)
             or params.fpdim_bound is not None and w * D * D > params.fpdim_bound
-            or params.perfect and any(len(factorize(d).factors) == 1 for d in dims)
+            or params.perfect and any(len(factorize(d)) == 1 for d in dims)
             or L and (max(counts.values()) < L
                       or any(v % L and c % L for v, c in counts.items()))):
         return None
@@ -104,7 +104,7 @@ def _final_node_reference(eng: _Engine, Q: int, l: int, u: int, path,
     gl2 = eng.params.group_order * l * l
     target = eng.s * gl2
     roots = [1]
-    for p, e in factorize(target).factors:
+    for p, e in factorize(target):
         roots = [r * p**a for r in roots for a in range(e // 2 + 1)]
     out = []
     for d in roots:

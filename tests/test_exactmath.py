@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddmtc.exactmath import (
-    Factorization,
     InvariantError,
     factorize,
     is_prime,
@@ -43,14 +42,35 @@ class TestIsqrtExact:
 
 class TestFactorize:
     def test_small(self):
-        assert factorize(1).factors == ()
-        assert factorize(441).factors == ((3, 2), (7, 2))
-        assert factorize(5625).factors == ((3, 2), (5, 4))
+        assert factorize(1) == ()
+        assert factorize(441) == ((3, 2), (7, 2))
+        assert factorize(5625) == ((3, 2), (5, 4))
 
     def test_factor_pairs(self):
-        assert factorize(1).factors == ()
-        assert factorize(99225).factors == ((3, 4), (5, 2), (7, 2))
-        assert math.prod(p**e for p, e in factorize(99225).factors) == 99225
+        assert factorize(99225) == ((3, 4), (5, 2), (7, 2))
+        assert math.prod(p**e for p, e in factorize(99225)) == 99225
+
+    @pytest.mark.parametrize("n, pairs", [
+        (1, ()),
+        (2, ((2, 1),)),
+        (3, ((3, 1),)),
+        (4, ((2, 2),)),
+        (8, ((2, 3),)),
+        (9, ((3, 2),)),
+        (15, ((3, 1), (5, 1))),
+        (25, ((5, 2),)),
+        (49, ((7, 2),)),
+        (121, ((11, 2),)),
+        (2**20, ((2, 20),)),
+        (999983, ((999983, 1),)),
+        (3**4 * 5**2 * 7**2, ((3, 4), (5, 2), (7, 2))),
+        # p*p == n: the loop must still try p = 997 before it stops
+        (997 * 997, ((997, 2),)),
+        (2 * 997 * 997, ((2, 1), (997, 2))),
+        (997 * 1009, ((997, 1), (1009, 1))),
+    ])
+    def test_boundaries(self, n, pairs):
+        assert factorize(n) == pairs
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -59,22 +79,21 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**9))
     def test_roundtrip(self, n):
         fac = factorize(n)
-        assert math.prod(p**e for p, e in fac.factors) == n
-        for p, _ in fac.factors:
+        assert isinstance(fac, tuple)
+        assert math.prod(p**e for p, e in fac) == n
+        primes = [p for p, _ in fac]
+        assert all(a < b for a, b in zip(primes, primes[1:]))
+        for p, e in fac:
+            assert e >= 1
             assert is_prime(p)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(InvariantError):
-            Factorization(((5, 1), (3, 1)))  # unsorted
 
     def test_value_invariants_enforced_under_optimize(self):
         code = (
-            "from oddmtc.exactmath import Factorization, InvariantError\n"
+            "from oddmtc.exactmath import InvariantError\n"
             "from oddmtc.filters import FilterVerdict\n"
             "from oddmtc.gradings import GradingCase\n"
             "assert False, 'assert statements are live'\n"
             "broken = [\n"
-            "    lambda: Factorization(((5, 1), (3, 1))),\n"
             "    lambda: GradingCase((3, 3, 1)),\n"
             "    lambda: FilterVerdict('', '', 'x'),\n"
             "    lambda: FilterVerdict('r', 'c', ''),\n"
@@ -91,7 +110,7 @@ class TestFactorize:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "rejected\n" * 4
+        assert proc.stdout == "rejected\n" * 3
 
 
 class TestSquarefreeSplit:
@@ -108,7 +127,7 @@ class TestSquarefreeSplit:
         u, w = squarefree_split(n)
         assert u * u * w == n
         # w squarefree: no prime exponent above 1
-        assert all(e == 1 for _, e in factorize(w).factors)
+        assert all(e == 1 for _, e in factorize(w))
 
 
 class TestPrimePredicates:
@@ -127,4 +146,4 @@ class TestPrimePredicates:
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_prime_power_agrees_with_factorization(self, n):
-        assert is_prime_power(n) == (len(factorize(n).factors) == 1)
+        assert is_prime_power(n) == (len(factorize(n)) == 1)
