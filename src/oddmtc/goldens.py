@@ -88,9 +88,6 @@ def _load_table(table_id: str, entry: dict, raw: bytes) -> GoldenTable:
         dims = tuple(int(x) for x in record[2:])
         if int(record[1]) != s:
             raise GoldenDataError(f"{table_id}: row {fpdim} {dims} has s = {record[1]}, not {s}")
-        for d in dims:
-            if fpdim % (d * d):
-                raise GoldenDataError(f"{table_id}: {fpdim} not divisible by {d}^2")
         rows.append(DimSolution(fpdim, dims))
     if len(rows) != entry["rows"]:
         raise GoldenDataError(

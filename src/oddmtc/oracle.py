@@ -13,10 +13,17 @@ is odd, so d^2 = 1 (mod 8) and half = sum d^2 = k (mod 8): `_solve_fpdim`
 drops the other half of the candidates before it factors anything.  As
 root_part(R^2 * j) = R * root_part(j), only j is factored.
 
-`_pick` takes the divisors largest first, so the first one it takes is d_1;
-it tests the predicates on m_1 = fpdim / d_1^2 there, and `_predicates_ok`
-tests every predicate again on each full row.  That keeps the oracle run
-at each golden table's largest row short enough for tier-1, T3 included.
+Each predicate is tested once, at the step its definition puts it.  The
+per-dim ones filter `_solve_fpdim`'s divisor list, once per fpdim: no dim
+of the perfect layer is a prime power, and under mi_coprime = P no
+quotient fpdim / d^2 is a multiple of P.  `_pick` takes the divisors
+largest first, so its first take is d_1, and the predicates on m_1 alone
+are tested there; that keeps the oracle run at each golden table's
+largest row short enough for tier-1, T3 included.  min_run, the only
+predicate on the whole multiset, is the only test on a finished row.
+Odd arithmetic decides the rest: R and j are odd, so fpdim is, and so are
+its divisors, their quotients and fpdim / g; with s odd, fpdim / g - s is
+even.
 
 `oracle_rows` yields the rows one at a time, fpdim ascending: `_pick` walks
 an explicit stack and yields each row as it completes it, and `compare`
@@ -35,14 +42,13 @@ from .dimsearch import DimSolution, RowDiff, SearchParams, canonical, diff_rows
 from .exactmath import is_prime_power, squarefree_split
 
 
-def _odd_divisors_at_least(n: int, lo: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
+def _divisors_at_least(n: int, lo: int) -> list[int]:
+    """The divisors >= lo of odd n, descending."""
+    out = set()
+    for d in range(1, isqrt(n) + 1, 2):
         if n % d == 0:
-            for x in (d, n // d):
-                if x >= lo and x % 2 == 1:
-                    out.append(x)
-    return sorted(set(out), reverse=True)
+            out.update(x for x in (d, n // d) if x >= lo)
+    return sorted(out, reverse=True)
 
 
 def oracle_enumerate(params: SearchParams) -> list[DimSolution]:
@@ -79,15 +85,12 @@ def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
 
 
 def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> Iterator[DimSolution]:
-    g, k, dmin, perfect = params.group_order, params.k, params.dmin, params.perfect
+    g, k, dmin, cop = params.group_order, params.k, params.dmin, params.mi_coprime
     if fpdim % g != 0:
         return
-    target = fpdim // g - params.layer_invertibles
-    if target < 2 * k * dmin * dmin or target % 2 != 0:
-        return
-    half = target // 2  # sum of k squared dims
+    half = (fpdim // g - params.layer_invertibles) // 2  # sum of k squared dims
     # every dim is odd, so d^2 = 1 (mod 8) and half = k (mod 8)
-    if (half - k) % 8:
+    if half < k * dmin * dmin or (half - k) % 8:
         return
     # every dim must satisfy d^2 | fpdim, so d divides the square-root part;
     # root^2 divides fpdim, and root_part(root^2 * j) = root * root_part(j)
@@ -95,11 +98,9 @@ def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> Iterator[DimSol
     # _pick's own first cut: no d exceeds root_part
     if k * root_part * root_part < half:
         return
-    divisors = [
-        d
-        for d in _odd_divisors_at_least(root_part, dmin)
-        if (fpdim // (d * d)) % 2 == 1 and not (perfect and is_prime_power(d))
-    ]
+    divisors = [d for d in _divisors_at_least(root_part, dmin)
+                if not (params.perfect and is_prime_power(d))
+                and not (cop and fpdim // (d * d) % cop == 0)]
     yield from _pick(divisors, k, half, fpdim, params)
 
 
@@ -112,7 +113,7 @@ def compare(search_out, oracle_out) -> RowDiff:
 
 def _pick(divs, need, budget, fpdim, params) -> Iterator[DimSolution]:
     """Each row of `need` dims from `divs` (descending) whose squares sum to
-    `budget` and that passes `_predicates_ok`, yielded as it is completed.
+    `budget` and that passes `_min_run_ok`, yielded as it is completed.
     A stack entry (idx, need, budget, acc) has taken the dims `acc` from
     divs[:idx]; a loop over the stack holds no generator per level."""
     lo2 = divs[-1] ** 2 if divs else 0
@@ -120,10 +121,8 @@ def _pick(divs, need, budget, fpdim, params) -> Iterator[DimSolution]:
     while stack:
         idx, need, budget, acc = stack.pop()
         if need == 0:
-            if budget == 0:
-                sol = DimSolution(fpdim, acc)
-                if _predicates_ok(sol, params):
-                    yield sol
+            if budget == 0 and _min_run_ok(acc, params.min_run):
+                yield DimSolution(fpdim, acc)
             continue
         if idx == len(divs):
             continue
@@ -152,25 +151,14 @@ def _m1_ok(m: int, params: SearchParams) -> bool:
         return False
     if params.m1_square and isqrt(m) ** 2 != m:
         return False
-    if m in params.m1_exclude:
-        return False
-    return not (params.mi_coprime and m % params.mi_coprime == 0)
+    return m not in params.m1_exclude
 
 
-def _predicates_ok(sol: DimSolution, params: SearchParams) -> bool:
-    fpdim, dims = sol.fpdim, sol.dims
-    if not _m1_ok(fpdim // (dims[0] * dims[0]), params):
-        return False
-    cop = params.mi_coprime
-    if cop and any(fpdim // (d * d) % cop == 0 for d in dims[1:]):
-        return False
-    if params.min_run:
-        counts = Counter(dims)
-        if max(counts.values()) < params.min_run:
-            return False
-        # dims outside the equal groups are fixed, hence divisible by the
-        # group length; group sizes must be multiples of that length
-        for value, mult in counts.items():
-            if value % params.min_run and mult % params.min_run:
-                return False
-    return True
+def _min_run_ok(dims: tuple[int, ...], run: int | None) -> bool:
+    """Some dim occurs at least `run` times; dims outside the equal groups
+    are fixed, hence divisible by `run`, and group sizes are multiples of it."""
+    if not run:
+        return True
+    counts = Counter(dims)
+    return max(counts.values()) >= run and all(
+        value % run == 0 or mult % run == 0 for value, mult in counts.items())

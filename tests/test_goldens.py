@@ -79,8 +79,6 @@ class TestLoadGoldens:
 
     @pytest.mark.parametrize("old, new, match", [
         (b"fpdim,s,", b"fpdim,n,", "unexpected header"),
-        # 5^2 does not divide 387 = 3^2 * 43
-        (b"387,3,3,", b"387,3,5,", "387 not divisible by 5\\^2"),
         (b"387,3,3,3,3,3,3,3,3\r\n", b"", "expected 3 rows, found 2"),
         # every dim still divides 387, but the row breaks the layer equation
         (b"387,3,3,3,3,3,3,3,3\r\n", b"387,3,3,3,3,3,3,3,1\r\n",
@@ -95,6 +93,19 @@ class TestLoadGoldens:
         raw = raw.replace(old, new)
         entry = dict(entry, sha256=hashlib.sha256(raw).hexdigest())
         with pytest.raises(goldens.GoldenDataError, match=match):
+            goldens._load_table("T2", entry, raw)
+
+    def test_dim_square_not_dividing_fpdim_rejected(self):
+        """A row that keeps the layer equation, 483 = 3 * (3 + 2 * (5^2 + 6 * 3^2)),
+        with its factored fpdim edited to match, fails only the check that
+        each d^2 divides fpdim: 5^2 does not divide 483 = 3 * 7 * 23."""
+        entry, raw = _entry_and_raw("T2")
+        raw = raw.replace(b"387,3,3,", b"483,3,5,")
+        assert entry["fpdim_factored"][-1] == "3^2*43"
+        entry = dict(entry, sha256=hashlib.sha256(raw).hexdigest(),
+                     fpdim_factored=entry["fpdim_factored"][:-1] + ["3*7*23"])
+        with pytest.raises(goldens.GoldenDataError, match="T2: row 483 \\(5, 3, 3, 3, 3, 3, 3\\)"
+                           " fails quotient times dim squared is fpdim"):
             goldens._load_table("T2", entry, raw)
 
     def test_unknown_post_filter_rejected_at_load(self):

@@ -40,10 +40,13 @@ class TestOracleEnumerate:
         assert sum(25 in row.quotients[1:] for row in rows) == 11
 
     @pytest.mark.parametrize("rank, s, cop, size", [
-        (19, 3, 9, 0), (19, 3, 15, 0), (17, 3, 25, 0), (25, 3, 25, 3), (27, 3, 15, 4)])
+        (19, 3, 9, 0), (19, 3, 15, 0), (17, 3, 25, 0), (25, 3, 25, 3), (27, 3, 15, 4),
+        (49, 1, 15, 4)])
     def test_matches_search_composite_mi_coprime(self, rank, s, cop, size):
         """mi_coprime bounds each quotient w*u^2, so a composite P also
-        rejects u with P not dividing u, e.g. 27 = 3*3^2 under P = 9."""
+        rejects u with P not dividing u, e.g. 27 = 3*3^2 under P = 9.  At
+        (49, 1) the perfect layer's prime-power filter and the mi_coprime
+        filter act on one divisor list: 4 of its 86 rows pass P = 15."""
         params = SearchParams(rank=rank, invertibles=s, mi_coprime=cop, fpdim_bound=10**6)
         assert len(check_equivalence(params)) == size
 
@@ -169,13 +172,12 @@ class TestSolveFpdimFirstCut:
             root_part = squarefree_split(fpdim)[0]
             if not r and (layer - s) % 2 == 0:
                 half = (layer - s) // 2
-                divisors = [d for d in oracle._odd_divisors_at_least(root_part, floor)
-                            if (fpdim // (d * d)) % 2 == 1]
+                divisors = oracle._divisors_at_least(root_part, floor)
                 want = list(oracle._pick(divisors, k, half, fpdim, params))
                 mod8_cut += ((half - k) % 8 != 0 and half >= k * floor * floor
                              and k * root_part * root_part >= half)
             # every odd R with R^2 | fpdim gives the same root part
-            for root in oracle._odd_divisors_at_least(root_part, 1):
+            for root in oracle._divisors_at_least(root_part, 1):
                 got = list(oracle._solve_fpdim(fpdim, root, params))
                 assert got == want, (fpdim, root)
             rows.extend(want)
@@ -223,17 +225,22 @@ class TestStreamedDiff:
         diff = diff_rows(iter([row, other, row]), [row, other])
         assert diff.missing == (row,) and not diff.extra
 
-    def test_oracle_rows_stream_one_row_at_a_time(self, monkeypatch):
-        """Fpdim 893,025 holds 10,980 of the 13,187 rows of (49, 5) up to
-        10^6; its first rows come out of `oracle_rows` when only a few of
-        its rows are built, not all of them."""
-        built = []
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The fpdim of each row `oracle` builds, in order."""
+        out = []
 
         def counted(fpdim, dims):
-            built.append(fpdim)
+            out.append(fpdim)
             return DimSolution(fpdim, dims)
 
         monkeypatch.setattr(oracle, "DimSolution", counted)
+        return out
+
+    def test_oracle_rows_stream_one_row_at_a_time(self, built):
+        """Fpdim 893,025 holds 10,980 of the 13,187 rows of (49, 5) up to
+        10^6; its first rows come out of `oracle_rows` when only a few of
+        its rows are built, not all of them."""
         stream = oracle.oracle_rows(SearchParams(rank=49, invertibles=5, fpdim_bound=10**6))
         before = 0
         for row in stream:
@@ -244,6 +251,13 @@ class TestStreamedDiff:
         assert {row.fpdim for row in taken} == {893025}
         assert len(built) - before < 100
         assert len(taken) + sum(row.fpdim == 893025 for row in stream) == 10980
+
+    def test_mi_coprime_builds_only_yielded_rows(self, built):
+        """mi_coprime filters each fpdim's divisors, so with min_run unset
+        every row `oracle_rows` builds is yielded: at (49, 5) up to 10^6,
+        P = 15 keeps 189 of the 13,187 rows."""
+        params = SearchParams(rank=49, invertibles=5, mi_coprime=15, fpdim_bound=10**6)
+        assert len(list(oracle.oracle_rows(params))) == len(built) == 189
 
     @pytest.mark.parametrize("params", [
         SearchParams(rank=25, invertibles=3, fpdim_bound=10**6),
