@@ -75,6 +75,9 @@ class SearchParams:
                 raise ValueError("adjoint_rank must exceed adjoint_invertibles")
             if self.adjoint_rank > self.rank:
                 raise ValueError("adjoint_rank must not exceed rank")
+            # fpdim = rank from m_1, and = g*adjoint_rank from the layer equation
+            if (self.rank - self.invertibles * self.adjoint_rank) % 8:
+                raise ValueError("rank must be congruent to invertibles * adjoint_rank mod 8")
         if self.min_m1 < 1:
             raise ValueError("min_m1 must be positive")
         if self.mi_coprime is not None and self.mi_coprime < 2:
@@ -172,23 +175,28 @@ class RowDiff:
 def diff_rows(want, got) -> RowDiff:
     """The one row comparison, on the rows themselves.
 
-    Only `got` is held, as a set; `want` is iterated once, so it may be a
-    stream, and each of its rows is checked off the held set.  A `want` row
-    not found there, a second copy included, is missing; whatever is left
-    held is extra.  Holding one side keeps `oracle-check`'s peak memory to
-    one side's rows.  Missing and extra are each ascending by (fpdim, dims).
-    The cyclic collector is paused meanwhile (`_collector_paused`).
+    Both sides come in canonical order and are walked once, in step, and
+    neither is held: a `got` row that sorts above the current `want` row is
+    extra, an equal one is checked off, and a `want` row that meets none, a
+    second copy included, is missing.  In any order, the diff is empty
+    exactly when the sides are equal.  Missing and extra are reversed to
+    ascend by (fpdim, dims).  The collector is paused (`_collector_paused`).
     """
+    missing, extra = [], []
     with _collector_paused():
-        held = set(got)
-        missing = []
-        for row in want:
-            try:
-                held.remove(row)
-            except KeyError:
-                missing.append(row)
-    order = attrgetter("fpdim", "dims")
-    return RowDiff(tuple(sorted(missing, key=order)), tuple(sorted(held, key=order)))
+        got = iter(got)
+        g = next(got, None)
+        for w in want:
+            while g is not None and (g.fpdim, g.dims) > (w.fpdim, w.dims):
+                extra.append(g)
+                g = next(got, None)
+            if g == w:
+                g = next(got, None)
+            else:
+                missing.append(w)
+        if g is not None:
+            extra += [g, *got]
+    return RowDiff(tuple(reversed(missing)), tuple(reversed(extra)))
 
 
 def validate_solution(sol: DimSolution, params: SearchParams) -> None:
@@ -466,10 +474,9 @@ class _Engine:
                     tails.append(dims + (d,) * take)
         if tails:
             # most closes pick nothing.  The path's dims come from `ds` too:
-            # each v <= u has its place j <= first in `vs`, but `final_pick`
-            # does not need v itself there (mi_coprime may rule it out)
-            prefix = tuple(ds[j] if vs[j] == v else l // v
-                           for v in path for j in (bisect_left(vs, v),))
+            # each path value divides l and passed mi_coprime where it was
+            # chosen (`m1_candidates`, or `kept` in bounded `children`)
+            prefix = tuple(ds[bisect_left(vs, v)] for v in path)
             for tail in tails:
                 self.emit(l, (), prefix + tail)
 
@@ -481,8 +488,8 @@ class _Engine:
         gl2 = self.g * l * l
         # every level still to come needs Q*u'^2 <= (s/dmin^2 + 2*rem)*g*l^2
         top = isqrt((self.s + 2 * rem * self.dmin2) * gl2 // (self.dmin2 * Q))
-        # Q' > 0 needs Q*u'^2 > 2g*l^2, so u itself comes first exactly when valid
-        first = max(u, isqrt(2 * gl2 // Q) - 2) | 1
+        # Q' > 0 exactly when Q*u'^2 > 2g*l^2: the least such odd u' >= u, as in `final_node`
+        first = u if Q * u * u > 2 * gl2 else (isqrt(2 * gl2 // Q) + 1) | 1
         if self.Dmax is not None:
             # D is a multiple of lcm(path, u') = l*r: only the u' of `kept` reach a row
             kept = self.kept(l)
@@ -496,9 +503,7 @@ class _Engine:
             h = gcd(l, up)
             r = up // h
             m = l // h
-            Qn = Q * r * r - g2 * m * m
-            if Qn > 0:
-                yield up, Qn, l * r
+            yield up, Q * r * r - g2 * m * m, l * r
 
     def kept(self, l: int) -> list[int]:
         """The odd u' whose lcm(l, u') = l*r has r <= Dmax // l, less those

@@ -25,11 +25,11 @@ Odd arithmetic decides the rest: R and j are odd, so fpdim is, and so are
 its divisors, their quotients and fpdim / g; with s odd, fpdim / g - s is
 even.
 
-`oracle_rows` yields the rows one at a time, fpdim ascending: `_pick` walks
-an explicit stack and yields each row as it completes it, and `compare`
-holds only the search's rows, checking each oracle row off them as it comes.
-So no more than the row in hand and `_pick`'s stack of partial rows is held
-on the oracle's side.
+`oracle_rows` yields the rows one at a time in canonical order: fpdims
+come largest first, and `_pick` walks an explicit stack, pops its largest
+take first and yields each row as it completes it.  So `compare` walks
+the stream in step with the search's rows and holds neither, and only the
+row in hand and `_pick`'s stack of partial rows are held on the oracle's side.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import Counter
 from collections.abc import Iterator
 from math import isqrt
 
-from .dimsearch import DimSolution, RowDiff, SearchParams, canonical, diff_rows
+from .dimsearch import DimSolution, RowDiff, SearchParams, diff_rows
 from .exactmath import is_prime_power, squarefree_split
 
 
@@ -53,11 +53,11 @@ def _divisors_at_least(n: int, lo: int) -> list[int]:
 
 def oracle_enumerate(params: SearchParams) -> list[DimSolution]:
     """All solutions with fpdim <= params.fpdim_bound, by direct search."""
-    return canonical(oracle_rows(params))
+    return list(oracle_rows(params))
 
 
 def oracle_rows(params: SearchParams) -> Iterator[DimSolution]:
-    """The rows of `oracle_enumerate` as a stream, fpdim ascending, each
+    """The rows of `oracle_enumerate` as a stream, in canonical order, each
     yielded as `_pick` completes it.  The bound is checked here, when called."""
     if params.fpdim_bound is None:
         raise ValueError("the oracle needs an fpdim bound")
@@ -69,7 +69,7 @@ def oracle_rows(params: SearchParams) -> Iterator[DimSolution]:
 
 def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
     """Every fpdim = rank (mod 8), <= fpdim_bound, that `_solve_fpdim`'s first
-    cut (root_part >= dmin and k * root_part^2 >= half) can pass, ascending,
+    cut (root_part >= dmin and k * root_part^2 >= half) can pass, descending,
     each paired with the first odd R >= dmin that gives it as R^2 * j."""
     g, k, s = params.group_order, params.k, params.layer_invertibles
     bound = params.fpdim_bound
@@ -81,7 +81,7 @@ def _candidate_fpdims(params: SearchParams) -> list[tuple[int, int]]:
         for j in range(params.rank % 8, top + 1, 8):
             out.setdefault(r2 * j, root)
         root += 2
-    return sorted(out.items())
+    return sorted(out.items(), reverse=True)
 
 
 def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> Iterator[DimSolution]:
@@ -105,15 +105,15 @@ def _solve_fpdim(fpdim: int, root: int, params: SearchParams) -> Iterator[DimSol
 
 
 def compare(search_out, oracle_out) -> RowDiff:
-    """Diff the output of a search with the oracle's bound, held, against the
-    oracle's rows, a list or the stream of `oracle_rows`.  Every such row is
-    within the bound (`validate_solution`), so none is filtered here."""
+    """Diff a search's canonical rows, with the oracle's bound, against the
+    oracle's rows, a list or the stream of `oracle_rows`, holding neither.
+    Every such row is within the bound (`validate_solution`), so none is filtered."""
     return diff_rows(oracle_out, search_out)
 
 
 def _pick(divs, need, budget, fpdim, params) -> Iterator[DimSolution]:
     """Each row of `need` dims from `divs` (descending) whose squares sum to
-    `budget` and that passes `_min_run_ok`, yielded as it is completed.
+    `budget` and that passes `_min_run_ok`, yielded as completed, in canonical order.
     A stack entry (idx, need, budget, acc) has taken the dims `acc` from
     divs[:idx]; a loop over the stack holds no generator per level."""
     lo2 = divs[-1] ** 2 if divs else 0
@@ -136,12 +136,12 @@ def _pick(divs, need, budget, fpdim, params) -> Iterator[DimSolution]:
         # divisors come largest first, so with acc empty a take > 0 makes d the
         # row's d_1: take none when m_1 = fpdim / d^2 fails its predicates
         most = min(need, budget // d2) if acc or _m1_ok(fpdim // d2, params) else 0
-        for take in range(most, -1, -1):
+        # rest - left*next2 and rest - left*lo2 fall as take grows: start at the
+        # least take with rest <= left*next2; the largest take is popped first
+        for take in range(max(0, -((need * next2 - budget) // (d2 - next2))), most + 1):
             rest, left = budget - take * d2, need - take
-            if rest > left * next2:
-                break
             if rest < left * lo2:
-                continue
+                break
             stack.append((idx + 1, left, rest, acc + (d,) * take))
 
 

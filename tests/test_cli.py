@@ -303,6 +303,17 @@ class TestAdjointDims:
         assert captured.out == ""
         assert captured.err == "error: adjoint_rank must not exceed rank\n"
 
+    def test_adjoint_rank_off_rank_mod_8(self, capsys):
+        """fpdim = rank = 5 (mod 8) from m_1, but = 3*17 = 3 (mod 8) from the
+        layer equation: no row can exist, so the input is rejected."""
+        code = cli.main(["adjoint-dims", "--rank", "45", "--gc", "3",
+                         "--adjoint-rank", "17", "--adjoint-invertibles", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: rank must be congruent to invertibles"
+                                " * adjoint_rank mod 8\n")
+
 
 class TestGradings:
     def test_unwritable_out_exits_2(self, capsys, tmp_path):

@@ -41,7 +41,7 @@ PLANT_PARAMS = [
     SearchParams(rank=23, invertibles=1),
     SearchParams(rank=49, invertibles=5, adjoint_rank=29,
                  adjoint_invertibles=5),
-    SearchParams(rank=45, invertibles=15, adjoint_rank=15,
+    SearchParams(rank=49, invertibles=15, adjoint_rank=15,
                  adjoint_invertibles=3),
 ]
 
@@ -186,6 +186,8 @@ class TestSearchParams:
         dict(rank=25, invertibles=3, adjoint_rank=15, adjoint_invertibles=4),
         dict(rank=49, invertibles=5, adjoint_rank=29),
         dict(rank=49, invertibles=5, adjoint_invertibles=5),
+        # fpdim = rank = 5 (mod 8) from m_1, but = 3*17 = 3 (mod 8) from the layer
+        dict(rank=45, invertibles=3, adjoint_rank=17, adjoint_invertibles=3),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -207,7 +209,8 @@ class TestSearchParams:
             layer_invalid, k = False, (rank - s) // 2
         else:
             layer_invalid = (ar is None or ai is None or ai < 1
-                             or ar % 2 == 0 or ai % 2 == 0 or ar <= ai or ar > rank)
+                             or ar % 2 == 0 or ai % 2 == 0 or ar <= ai or ar > rank
+                             or (rank - s * ar) % 8)
             k = None if layer_invalid else (ar - ai) // 2
         invalid = (
             rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or rank <= s or layer_invalid
@@ -574,9 +577,10 @@ class TestFinalPick:
     def test_planted_completions(self, params, w, exps, lead, picks, min_run, cop, over,
                                  shift, below):
         """A state with D = l planted from a chosen completion: l is a product
-        of powers of 3, 5, 7, 11, the path holds divisors of l (final_pick
-        reads l only as D, so l need not be lcm(path)), the completion takes
-        each of a few divisors u' >= u a few times, and
+        of powers of 3, 5, 7, 11, the path holds divisors of l that pass
+        mi_coprime, as a search's do (final_pick reads l only as D, so l
+        need not be lcm(path)), the completion takes each of a few
+        divisors u' >= u a few times, and
         Q = g*(s + 2*sum (l/u')^2).  With l <= Dmax < 3l, final_pick emits
         exactly the reference rows, the planted one among them when it
         passes mi_coprime and `_chain_row`.  With Dmax < l (below), a state
@@ -588,9 +592,11 @@ class TestFinalPick:
         s, g = params.layer_invertibles, params.group_order
         l = 3 ** exps[0] * 5 ** exps[1] * 7 ** exps[2] * 11 ** exps[3]
         us = [v for v in range(1, l + 1, 2) if l % v == 0]
+        passing = [v for v in us if not (cop and w * v * v % cop == 0)]
+        assume(passing)
         # with min_run = L, L copies of each value keep the p-batch rule in reach
         rep = min_run or 2
-        path = tuple(sorted(us[i % len(us)] for i in lead for _ in range(rep)))
+        path = tuple(sorted(passing[i % len(passing)] for i in lead for _ in range(rep)))
         u = path[-1]
         later = us[us.index(u):]
         planted = sorted(later[i % len(later)] for i, n in picks for _ in range(n * rep))
@@ -889,7 +895,8 @@ class TestDiffRows:
         diff = diff_rows(rows[2:], rows[:2] + rows[4:])
         assert diff.missing == (rows[3], rows[2]) and diff.extra == (rows[1], rows[0])
         assert not diff.empty
-        assert diff_rows(rows, list(reversed(rows))).empty
+        # the sides are walked in step: the same rows in another order differ
+        assert not diff_rows(rows, list(reversed(rows))).empty
 
 
 class TestValidateSolution:

@@ -119,8 +119,8 @@ class TestGoldenTablesUpToLargestRow:
 
 class TestCandidateFpdims:
     """`_candidate_fpdims` is exactly the set of fpdim values that pass the
-    root-part cut of `_solve_fpdim`, here defined by brute force, each with
-    an odd R >= dim_floor whose square divides it."""
+    root-part cut of `_solve_fpdim`, here defined by brute force, largest
+    first, each with an odd R >= dim_floor whose square divides it."""
 
     @pytest.mark.parametrize("params, size", [
         (SearchParams(rank=25, invertibles=3), 194),
@@ -139,7 +139,7 @@ class TestCandidateFpdims:
             if rp >= floor and fpdim <= g * (2 * k * rp * rp + s):
                 want.append(fpdim)
         got = oracle._candidate_fpdims(replace(params, fpdim_bound=bound))
-        assert [fpdim for fpdim, _ in got] == want
+        assert [fpdim for fpdim, _ in got] == want[::-1]
         assert len(want) == size
         for fpdim, root in got:
             assert root % 2 == 1 and root >= floor and fpdim % (root * root) == 0, fpdim
@@ -202,8 +202,8 @@ class TestCompare:
 
 
 class TestStreamedDiff:
-    """`diff_rows` holds `got` and checks `want` off it once, so `want` may
-    be the oracle's stream."""
+    """`diff_rows` walks both canonical sides once, in step, so either may be
+    the oracle's stream, and holds neither."""
 
     ROWS = st.lists(st.builds(DimSolution, st.integers(1, 40),
                               st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple)),
@@ -213,17 +213,51 @@ class TestStreamedDiff:
     @settings(max_examples=300, deadline=None)
     def test_equals_set_difference(self, pool, pick):
         # each pooled row goes to neither side, want only, got only or both
-        want = [row for row, side in zip(pool, pick) if side & 1]
-        got = [row for row, side in zip(pool, pick) if side & 2]
+        want = canonical(row for row, side in zip(pool, pick) if side & 1)
+        got = canonical(row for row, side in zip(pool, pick) if side & 2)
         order = lambda row: (row.fpdim, row.dims)  # noqa: E731
-        diff = diff_rows(iter(want), got)
+        diff = diff_rows(iter(want), iter(got))
         assert diff.missing == tuple(sorted(set(want) - set(got), key=order))
         assert diff.extra == tuple(sorted(set(got) - set(want), key=order))
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_empty_exactly_when_equal(self, data):
+        """In any order, copies included, the diff is empty exactly when the
+        two sequences are equal."""
+        row = st.builds(DimSolution, st.integers(1, 3),
+                        st.lists(st.integers(3, 5), min_size=1, max_size=2).map(tuple))
+        want = data.draw(st.lists(row, max_size=6))
+        got = data.draw(st.just(want) | st.permutations(want) | st.lists(row, max_size=6))
+        assert diff_rows(iter(want), iter(got)).empty == (got == want)
+
+    def test_reads_got_at_most_one_row_ahead(self):
+        """On equal canonical sides `got` is read at most one row ahead of
+        `want`, so neither side is held."""
+        rows = oracle.oracle_enumerate(SearchParams(rank=25, invertibles=3, fpdim_bound=10**5))
+        read = [0, 0]
+        lead = []
+
+        def counted(side):
+            for row in rows:
+                read[side] += 1
+                lead.append(read[1] - read[0])
+                yield row
+
+        assert diff_rows(counted(0), counted(1)).empty
+        assert read == [len(rows)] * 2 and max(lead) == 1
+
     def test_second_copy_in_stream_is_missing(self):
         row, other = DimSolution(33, (3, 3)), DimSolution(41, (5,))
-        diff = diff_rows(iter([row, other, row]), [row, other])
+        diff = diff_rows(iter([other, row, row]), [other, row])
         assert diff.missing == (row,) and not diff.extra
+
+    def test_second_copy_in_got_is_extra(self):
+        """No search yields a second copy (`enumerate_solutions` raises on
+        one), but the diff lists it rather than folding it away."""
+        row, other = DimSolution(33, (3, 3)), DimSolution(41, (5,))
+        diff = diff_rows([other, row], iter([other, row, row]))
+        assert diff.extra == (row,) and not diff.missing
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -267,6 +301,7 @@ class TestStreamedDiff:
         SearchParams(rank=33, invertibles=1, fpdim_bound=4 * 10**6),
     ], ids=["basic", "adjoint", "perfect"])
     def test_oracle_rows_ascend(self, params):
-        fpdims = [row.fpdim for row in oracle.oracle_rows(params)]
-        assert fpdims and fpdims == sorted(fpdims)
-        assert canonical(oracle.oracle_rows(params)) == oracle.oracle_enumerate(params)
+        """The stream ascends by `DimSolution.sort_key`: it is in canonical
+        order, and `oracle_enumerate` is that stream as a list."""
+        rows = list(oracle.oracle_rows(params))
+        assert rows and rows == oracle.oracle_enumerate(params) == canonical(rows)
