@@ -28,12 +28,11 @@ def _sol_record(sol: DimSolution, s: int) -> dict:
             "quotients": list(sol.quotients)}
 
 
-def _emit_solutions(sols: list[DimSolution], s: int, fmt: str, out) -> None:
+def _emit_solutions(sols: list[DimSolution], s: int, k: int, fmt: str, out) -> None:
     if fmt == "json":
         json.dump([_sol_record(sol, s) for sol in sols], out, indent=2)
         out.write("\n")
     elif fmt == "csv":
-        k = len(sols[0].dims) if sols else 0
         header = ["fpdim", "s"] + [f"d{i}" for i in range(1, k + 1)]
         out.write(",".join(header) + "\n")
         for sol in sols:
@@ -85,7 +84,7 @@ def cmd_dims(args, out) -> int:
     """`dims` and `adjoint-dims`; `--gc` of the latter sets `args.invertibles`."""
     params = _params_from_args(args)
     sols = enumerate_solutions(params, jobs=args.jobs)
-    _emit_solutions(sols, params.layer_invertibles, args.format, out)
+    _emit_solutions(sols, params.layer_invertibles, params.k, args.format, out)
     return 0
 
 

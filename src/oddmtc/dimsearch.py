@@ -84,6 +84,8 @@ class SearchParams:
             raise ValueError("mi_coprime must be at least 2")
         if self.min_run is not None and self.min_run < 2:
             raise ValueError("min_run must be at least 2")
+        if self.min_run is not None and self.min_run > self.k:
+            raise ValueError("min_run must not exceed the number of dual pairs searched")
         if self.fpdim_bound is not None and self.fpdim_bound < 1:
             raise ValueError("fpdim_bound must be positive")
 
@@ -270,8 +272,8 @@ class _Engine:
     `final_node` closes a batch of states (u, Q, l) whose new value u_k
     fills the last n = `levels` levels (1 at rem = 1, L in a min-run tail,
     where u_k > u).  A state at rem = 2 passes its children as one batch, with
-    no push, pop or path per child: the min-run rule serves every rem <= L,
-    and L = 1 or L >= 2 = rem, so run = L and each child closes at rem = 1.
+    no push, pop or path per child: by the min-run rule below, a state there
+    has run = L, so each child closes at rem = 1.
     With N = 2n*g*l^2 and T = s*g*l^2, Q*u_k^2 = T/d^2 + N for d = d_k:
     * with G = gcd(Q, g*l^2), a = Q/G is prime to g*l^2/G, so
       Q*(u_k*d)^2 = g*l^2*(s + 2n*d^2) gives a | s + 2n*d^2 > 0, and
@@ -289,18 +291,20 @@ class _Engine:
     As s/d^2 is small next to 2n, u_k sits near l*sqrt(2n*g/Q): most states
     scan nothing.
 
-    With min_run = L, a chain must hold L consecutive equal u_i (equal u
-    gives equal dims).  Each state carries `run`, the length of its trailing
-    run of equal u, which stays at L once reached; L = 1 when min_run is
-    unset, so every state is already free.  One rule serves a state with
-    run < L and rem <= L, after whose new value u' > u no fresh run fits.
-    At rem = L, u' may still fill all L levels, and `final_node` closes it
-    with n = L.  Then the trailing run grows to L in one step (each level
-    takes 2g*(l/u)^2 from Q), and the state is dropped when the
-    need = L - run levels exceed rem or leave Q <= 0.  `final_chain` closes
-    the full-length chains, where Q*e^2 = g*s: every k = 1 search (L = 1)
-    and the chain a run extension completes at the root (k = L).  `emit`
-    applies the p-batch rule of `_min_run_ok` to every row.
+    With min_run = L <= k, a chain must hold L consecutive equal u_i (equal
+    u gives equal dims).  Each state carries `run`, the length of its
+    trailing run of equal u, which stays at L once reached; L = 1 when
+    min_run is unset, so every state is already free.  A k = L search,
+    every k = 1 search among them, has one chain, u_1 at every level, and
+    `final_chain` closes it before the loop.  Past it k > L, so the root
+    has rem >= L, and so has every state with run < L: its parent had
+    run < L, and rem > L as the rule skipped it.  The rule serves run < L
+    at rem = L, where a new u' > u leaves no room for a fresh run unless it
+    fills all L levels, which `final_node` closes with n = L.  Then the run
+    grows to L in one step (each level takes 2g*(l/u)^2 from Q), over
+    L - run < rem levels to rem = run >= 1, so no state has rem = 0; it is
+    dropped on Q <= 0.  `emit` applies the p-batch rule of `_min_run_ok` to
+    every row.
 
     With fpdim_bound set, D <= Dmax = isqrt(bound // w), and as every
     d_j >= dmin, Q*e^2 >= g*(s + 2*rem*dmin^2).  The bounded search adds
@@ -388,11 +392,10 @@ class _Engine:
                     self.emit(d * up, prefix + (u,) + (up,) * levels)
 
     def final_chain(self, Q: int, l: int, path) -> None:
-        """Full-length chain: test e^2 = g*s/Q directly, then D = e*l.
-        Every k = 1 search gets here, and the chain a run extension
-        completes at the root (k = L)."""
+        """The one chain of a k = L search, whole: Q*e^2 = g*s, so with
+        Q > 0 test e^2 = g*s/Q directly, then D = e*l."""
         num = self.g * self.s
-        if num % Q:
+        if Q <= 0 or num % Q:
             return
         e, square = isqrt_exact(num // Q)
         if square:
@@ -405,9 +408,8 @@ class _Engine:
         Dmax = isqrt(bound // w)), no dim of a perfect layer is a prime
         power, and `_min_run_ok` holds with min_run.  Every dim is odd, as
         u, l, d and e are, and each close picks its last (least) dim >= dmin:
-        `final_node`'s d^2 >= lo2, `final_pick`'s divisors l/v, and at the root,
-        where `final_chain`'s k dims are equal (k = 1, or k = L after a run
-        extension), `m1_candidates`' cap m1 <= g*(2k + s/dmin^2)."""
+        `final_node`'s d^2 >= lo2, `final_pick`'s divisors l/v, and for the k
+        equal dims of `final_chain`, `m1_candidates`' cap m1 <= g*(2k + s/dmin^2)."""
         if self.Dmax is not None and D > self.Dmax:
             return
         dims = []
@@ -523,6 +525,10 @@ class _Engine:
         k = self.k
         L = self.L
         g = self.g
+        if k == L:
+            # u_1 at every level, each later one taking 2g from Q
+            self.final_chain(Q0 - 2 * g * (k - 1), u1, (u1,) * k)
+            return
         Dmax = self.Dmax
         if Dmax is not None:
             D2 = Dmax * Dmax
@@ -535,19 +541,16 @@ class _Engine:
             # Q*e^2 >= g*(s + 2*rem*dmin^2) with e = D/l, as every d_j >= dmin
             if Dmax is not None and g * (self.s + 2 * rem * dmin2) * l * l > Q * D2:
                 continue
-            if run < L and rem <= L:
+            if run < L and rem == L:
                 # after a u' > u no fresh run fits, unless u' fills all L levels
-                if rem == L:
-                    self.final_node(path[:-1], ((u, Q, l),), L)
+                self.final_node(path[:-1], ((u, Q, l),), L)
                 # otherwise the run grows to L; each level takes 2g*(l/u)^2 from Q
                 need = L - run
                 Q -= 2 * g * need * (l // u) ** 2
-                if need > rem or Q <= 0:
+                if Q <= 0:
                     continue
                 path, run, rem = path + (u,) * need, L, rem - need
-            if rem == 0:
-                self.final_chain(Q, l, path)
-            elif Dmax is not None and Dmax < 3 * l:
+            if Dmax is not None and Dmax < 3 * l:
                 # D is an odd multiple of l, so D = l
                 self.final_pick(Q, l, u, path, rem)
             elif rem == 1:

@@ -243,8 +243,15 @@ class TestDims:
     def test_invalid_rank(self, capsys):
         assert cli.main(["dims", "--rank", "26", "--invertibles", "3"]) == 2
 
+    def test_empty_csv_header(self, capsys):
+        """The header names the k = 16 dims of the search even with no row."""
+        header = ",".join(["fpdim", "s"] + [f"d{i}" for i in range(1, 17)])
+        assert run(capsys, "dims", "--rank", "47", "--invertibles", "15",
+                   "--format", "csv") == (0, header + "\n")
+
+    # rank 27 with 3 invertibles has k = 12 dual pairs, so min_run 13 cannot occur
     @pytest.mark.parametrize("flag, value", [
-        ("--min-run", "0"), ("--min-run", "-1"), ("--min-run", "1"),
+        ("--min-run", "0"), ("--min-run", "-1"), ("--min-run", "1"), ("--min-run", "13"),
         ("--mi-coprime", "1"), ("--mi-coprime", "0"),
         ("--fpdim-bound", "0"), ("--fpdim-bound", "-7"),
         ("--jobs", "0"), ("--jobs", "-3"),

@@ -153,6 +153,33 @@ def _final_pick_reference(eng: _Engine, Q: int, l: int, u: int, path,
     return out
 
 
+@st.composite
+def _near_boundaries(draw):
+    """SearchParams kwargs drawn on both sides of two rules' boundaries,
+    which uniform draws rarely meet: an adjoint triple with rank on
+    invertibles*adjoint_rank (mod 8) or 2 either side of it, and min_run at
+    k - 1, k or k + 1."""
+    odd = st.integers(0, 12).map(lambda x: 2 * x + 1)
+    s = draw(odd)
+    if draw(st.booleans()):
+        ai = draw(odd)
+        ar = ai + 2 * draw(st.integers(1, 12))
+        # the least rank >= ar, > s and = s*ar (mod 8), then up by 0-2 eights
+        rank = max(ar, s + 2)
+        rank += (s * ar - rank) % 8 + 8 * draw(st.integers(0, 2))
+        rank += draw(st.sampled_from([-2, 0, 0, 2]))
+        k = (ar - ai) // 2
+    else:
+        ar = ai = None
+        rank = s + 2 * draw(st.integers(1, 12))
+        k = (rank - s) // 2
+    return dict(rank=rank, invertibles=s, adjoint_rank=ar, adjoint_invertibles=ai,
+                min_m1=draw(st.integers(1, 30)),
+                min_run=draw(st.none() | st.sampled_from([k - 1, k, k + 1])),
+                mi_coprime=draw(st.none() | st.integers(2, 8)),
+                fpdim_bound=draw(st.none() | st.integers(1, 10**7)))
+
+
 class TestSearchParams:
     def test_basic_derived(self):
         p = SearchParams(rank=25, invertibles=3)
@@ -188,20 +215,23 @@ class TestSearchParams:
         dict(rank=49, invertibles=5, adjoint_invertibles=5),
         # fpdim = rank = 5 (mod 8) from m_1, but = 3*17 = 3 (mod 8) from the layer
         dict(rank=45, invertibles=3, adjoint_rank=17, adjoint_invertibles=3),
+        # no value can occur 12 times among k = 11 dims
+        dict(rank=25, invertibles=3, min_run=12),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SearchParams(**kwargs)
 
-    @given(rank=st.integers(-3, 60), invertibles=st.integers(-3, 60),
-           adjoint_rank=st.none() | st.integers(-3, 60),
-           adjoint_invertibles=st.none() | st.integers(-3, 60),
-           min_m1=st.integers(-2, 30),
-           min_run=st.none() | st.integers(-3, 8),
-           mi_coprime=st.none() | st.integers(-3, 8),
-           fpdim_bound=st.none() | st.integers(-5, 10**7))
+    @given(kwargs=st.fixed_dictionaries(dict(
+               rank=st.integers(-3, 60), invertibles=st.integers(-3, 60),
+               adjoint_rank=st.none() | st.integers(-3, 60),
+               adjoint_invertibles=st.none() | st.integers(-3, 60),
+               min_m1=st.integers(-2, 30),
+               min_run=st.none() | st.integers(-3, 8),
+               mi_coprime=st.none() | st.integers(-3, 8),
+               fpdim_bound=st.none() | st.integers(-5, 10**7))) | _near_boundaries())
     @settings(max_examples=600, deadline=None)
-    def test_rejects_exactly_invalid_kwargs(self, **kwargs):
+    def test_rejects_exactly_invalid_kwargs(self, kwargs):
         rank, s = kwargs["rank"], kwargs["invertibles"]
         ar, ai = kwargs["adjoint_rank"], kwargs["adjoint_invertibles"]
         # each of the pair is drawn present or absent; half a pair is invalid
@@ -215,7 +245,7 @@ class TestSearchParams:
         invalid = (
             rank < 1 or rank % 2 == 0 or s < 1 or s % 2 == 0 or rank <= s or layer_invalid
             or kwargs["min_m1"] < 1
-            or (kwargs["min_run"] is not None and kwargs["min_run"] < 2)
+            or (kwargs["min_run"] is not None and not 2 <= kwargs["min_run"] <= k)
             or (kwargs["mi_coprime"] is not None and kwargs["mi_coprime"] < 2)
             or (kwargs["fpdim_bound"] is not None and kwargs["fpdim_bound"] < 1)
         )
@@ -340,12 +370,15 @@ class TestNextLevel:
         one bounded engine calls both at one l with Dmax // l < 3, in either
         order, and each call must match its reference.  The state (Q, l, u)
         is planted from a completion that takes a few divisors u' >= u of l,
-        a product of powers of 3, 5, 7, 11, with Q = g*(s + 2*sum (l/u')^2).
+        a product of powers of 3, 5, 7, 11, with Q = g*(s + 2*sum (l/u')^2);
+        the path value u passes mi_coprime, as a search's do.
         Dmax falls in [1, 3l): at Dmax < l neither call yields anything."""
         s, g = params.layer_invertibles, params.group_order
         l = 3 ** exps[0] * 5 ** exps[1] * 7 ** exps[2] * 11 ** exps[3]
         us = [v for v in range(1, l + 1, 2) if l % v == 0]
-        u = us[lead % len(us)]
+        passing = [v for v in us if not (cop and w * v * v % cop == 0)]
+        assume(passing)
+        u = passing[lead % len(passing)]
         later = us[us.index(u):]
         dims = tuple(l // v for v in sorted(later[i % len(later)] for i in picks))
         Q, rem, path = g * (s + 2 * sum(d * d for d in dims)), len(dims), (u,)

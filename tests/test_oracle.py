@@ -68,9 +68,9 @@ class TestOracleEnumerate:
         assert total == 60
 
     def test_matches_search_final_chain(self, engine_probe):
-        """Adjoint searches with k = 1 and no min_run, and with k = L, where
-        the run extension completes the root: final_chain closes every
-        chain, and final_node sees no state."""
+        """Adjoint searches with k = 1 and no min_run, and with k = L:
+        final_chain closes the one chain of each before the search loop, and
+        final_node sees no state."""
         total = 0
         for gc in (3, 5, 9, 15):
             for ai in (3, 9, 15, 25):
@@ -88,6 +88,16 @@ class TestOracleEnumerate:
         bound = 4 * 10 ** 6
         params = SearchParams(rank=rank, invertibles=s, fpdim_bound=bound)
         assert len(check_equivalence(params)) == size
+
+    def test_matches_search_at_1e7(self):
+        """(49, 9) up to 10^7, the one bounded search here past 10^6: with
+        w = 1, Dmax = 3162, so the state cut and `final_pick`'s D = l close
+        run at Dmax and l above 3000, which no search up to 10^6 reaches."""
+        params = SearchParams(rank=49, invertibles=9, fpdim_bound=10**7)
+        search = enumerate_solutions(params)
+        diff = diff_rows(oracle.oracle_rows(params), search)
+        assert diff.empty, (diff.missing, diff.extra)
+        assert len(search) == 20373
 
     # `oracle_rows` raises when called, before the first row is asked for
     def test_bound_below_invertibles_rejected(self):
