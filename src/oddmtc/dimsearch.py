@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd, isqrt
-from multiprocessing import Pool
 from operator import attrgetter
 
 from .exactmath import (
@@ -588,6 +587,7 @@ def enumerate_solutions(params: SearchParams, jobs: int = 1) -> list[DimSolution
     m1s = m1_candidates(params)
     with _collector_paused():
         if jobs > 1 and len(m1s) > 1:
+            from multiprocessing import Pool  # here, so serial runs skip its import
             with Pool(min(jobs, len(m1s))) as pool:
                 chunks = pool.map(_search_branch, [(params, m1) for m1 in m1s], chunksize=1)
         else:

@@ -3,6 +3,11 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,12 +280,37 @@ def test_every_subcommand_rejects_bad_jobs(capsys, monkeypatch, argv, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(dimsearch, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     code = cli.main(argv + ["--jobs", jobs])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_serial_runs_never_import_multiprocessing():
+    """Only a worker pool needs `multiprocessing`, so a fresh interpreter that
+    loads the goldens and runs three subcommands with the default --jobs 1
+    never imports it."""
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from oddmtc import cli, goldens\n"
+        "goldens.load_goldens()\n"
+        "for argv in (['dims', '--rank', '27', '--invertibles', '3'],\n"
+        "             ['gradings', '--rank', '19', '--invertibles', '3', '--apply-filters'],\n"
+        "             ['oracle-check', '--rank', '33', '--invertibles', '3']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        print(cli.main(argv), file=sys.stderr)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "0\n0\n0\n")
+    assert proc.stdout == "False\n"
 
 
 class TestAdjointDims:
